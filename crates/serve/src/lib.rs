@@ -48,7 +48,10 @@
 //! Everything is hand-rolled over `std::net` — the offline build takes no
 //! HTTP or runtime dependencies.
 
+mod admin;
+mod handlers;
 pub mod http;
+mod ingest;
 pub mod metrics;
 pub mod replication;
 pub mod server;
