@@ -28,7 +28,6 @@ fn main() {
             "supervision-leak",
             "threshold-sweep",
             "paleo-scale",
-            "parallel-scaling",
         ]
     } else {
         args.iter().map(String::as_str).collect()
@@ -50,7 +49,6 @@ fn main() {
             "supervision-leak" => exp::supervision_leak(),
             "threshold-sweep" => exp::threshold_sweep_experiment(),
             "paleo-scale" => exp::paleo_scale(),
-            "parallel-scaling" => exp::parallel_scaling(),
             other => {
                 eprintln!("unknown experiment `{other}` — see EXPERIMENTS.md");
                 std::process::exit(2);

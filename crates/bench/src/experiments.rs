@@ -867,480 +867,3 @@ pub fn paleo_scale() -> Json {
         "per_core_ratio": rate / paper_per_core,
     })
 }
-
-/// Thread-count sweep over the three partitioned phases of the execution
-/// core — recursive datalog fixpoint, factor-graph grounding, and Gibbs
-/// sampling — at 1/2/4/8 worker threads. The tentpole claim this backs:
-/// `--threads 1` is the historical sequential engine, and the
-/// grounding+sampling pipeline reaches ≥2× wall-clock speedup at 4 threads.
-pub fn parallel_scaling() -> Json {
-    use deepdive_sampler::parallel_marginals;
-    use deepdive_storage::{
-        row, Atom, Database, ExecutionContext, Literal, Program, Rule, Schema, StratifiedProgram,
-        Term, ValueType,
-    };
-    println!("== parallel scaling: fixpoint + grounding + sampling at 1/2/4/8 threads ==");
-
-    let sweep = [1usize, 2, 4, 8];
-
-    // Phase 1: recursive fixpoint — transitive closure over a dense cyclic
-    // graph (every stratum pass shards the Scan over partitions).
-    let fixpoint_db = || {
-        let db = Database::new();
-        db.create_relation(
-            Schema::build("edge")
-                .col("a", ValueType::Int)
-                .col("b", ValueType::Int)
-                .finish(),
-        )
-        .expect("edge");
-        db.create_relation(
-            Schema::build("path")
-                .col("a", ValueType::Int)
-                .col("b", ValueType::Int)
-                .finish(),
-        )
-        .expect("path");
-        let n: i64 = 160;
-        for a in 0..n {
-            for d in [1i64, 3, 7] {
-                db.insert("edge", row![a, (a + d) % n]).expect("insert");
-            }
-        }
-        db
-    };
-    let tc_program = || {
-        Program::new(vec![
-            Rule::new(
-                "base",
-                Atom::new("path", vec![Term::var("a"), Term::var("b")]),
-                vec![Literal::pos(Atom::new(
-                    "edge",
-                    vec![Term::var("a"), Term::var("b")],
-                ))],
-            ),
-            Rule::new(
-                "step",
-                Atom::new("path", vec![Term::var("a"), Term::var("c")]),
-                vec![
-                    Literal::pos(Atom::new("path", vec![Term::var("a"), Term::var("b")])),
-                    Literal::pos(Atom::new("edge", vec![Term::var("b"), Term::var("c")])),
-                ],
-            ),
-        ])
-    };
-
-    // Phase 3 workload: a grounded-KBC-shaped graph, sampled hard enough
-    // that chain parallelism dominates the per-chain burn-in overhead.
-    let g = chain_graph(160, 24, 2);
-    let compiled = g.compile();
-    let weights = g.weights.values();
-    let opts = GibbsOptions {
-        burn_in: 60,
-        samples: 1200,
-        seed: 0xBE_AC,
-        ..Default::default()
-    };
-
-    let mut points = Vec::new();
-    let mut base: Option<(f64, f64, f64)> = None;
-    for &t in &sweep {
-        // Fixpoint.
-        let db = fixpoint_db();
-        let sp = StratifiedProgram::new(tc_program(), &db).expect("stratify");
-        let t0 = Instant::now();
-        sp.evaluate_ctx(&db, &ExecutionContext::new(t))
-            .expect("fixpoint");
-        let fixpoint = t0.elapsed().as_secs_f64();
-
-        // Grounding (spouse factor materialization, sharded rule bodies).
-        let mut app = SpouseApp::build(spouse_config(200)).expect("build");
-        app.dd.set_threads(t);
-        let t1 = Instant::now();
-        app.dd.grounder.initial_load(&app.dd.db).expect("ground");
-        let grounding = t1.elapsed().as_secs_f64();
-
-        // Sampling (independent seeded chains, pooled counts).
-        let t2 = Instant::now();
-        let m = parallel_marginals(&compiled, &weights, &opts, t);
-        let sampling = t2.elapsed().as_secs_f64();
-        assert_eq!(m.samples, opts.samples as u64);
-
-        let (f1, g1, s1) = *base.get_or_insert((fixpoint, grounding, sampling));
-        let gs_speedup = (g1 + s1) / (grounding + sampling).max(1e-9);
-        println!(
-            "  threads={t}: fixpoint {:>7.1}ms ({:.2}×)  grounding {:>7.1}ms ({:.2}×)  \
-             sampling {:>7.1}ms ({:.2}×)  grounding+sampling {:.2}×",
-            fixpoint * 1e3,
-            f1 / fixpoint.max(1e-9),
-            grounding * 1e3,
-            g1 / grounding.max(1e-9),
-            sampling * 1e3,
-            s1 / sampling.max(1e-9),
-            gs_speedup,
-        );
-        points.push(json!({
-            "threads": t,
-            "fixpoint_ms": fixpoint * 1e3,
-            "grounding_ms": grounding * 1e3,
-            "sampling_ms": sampling * 1e3,
-            "fixpoint_speedup": f1 / fixpoint.max(1e-9),
-            "grounding_speedup": g1 / grounding.max(1e-9),
-            "sampling_speedup": s1 / sampling.max(1e-9),
-            "grounding_sampling_speedup": gs_speedup,
-        }));
-    }
-    // Physical parallelism is bounded by the host: on a single-CPU machine
-    // every thread count shares one core and speedups stay ~1.0× (chains
-    // still pay their own burn-in). Record the bound so the artifact is
-    // interpretable away from the machine that produced it, and flag the
-    // sweep as degraded when the host cannot physically run it.
-    let host_cpus = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    let max_threads = sweep.iter().copied().max().unwrap_or(1);
-    let degraded_host = host_cpus < max_threads;
-    if degraded_host {
-        eprintln!(
-            "warning: host has {host_cpus} CPU(s) but the sweep requests up to \
-             {max_threads} threads; speedups are bounded by the hardware and \
-             may read as ~1.0× or below (degraded_host)"
-        );
-    }
-    json!({
-        "experiment": "parallel-scaling",
-        "host_cpus": host_cpus,
-        "degraded_host": degraded_host,
-        "points": points,
-    })
-}
-
-/// Storage-engine scan + join throughput: full-row materializing scans over
-/// a wide mixed-type relation and the spouse-shaped self-join, measured
-/// against whatever engine the storage crate currently compiles in. Run
-/// once before the columnar refactor the output is the row-store baseline;
-/// run after, it is the columnar engine. `BENCH_columnar.json` archives
-/// both (the baseline numbers are frozen in `ROW_BASELINE`).
-pub fn columnar_scan() -> Json {
-    use deepdive_storage::{
-        row, Atom, CmpOp, Database, ExecutionContext, Literal, Program, Rule, Schema,
-        StratifiedProgram, Term, Value, ValueType,
-    };
-    println!("== storage engine scan + join throughput ==");
-
-    // Scan workload: 200k rows × (id, int, float, dict-friendly text).
-    let scan_rows: usize = 200_000;
-    let db = Database::new();
-    db.create_relation(
-        Schema::build("Feature")
-            .col("id", ValueType::Id)
-            .col("n", ValueType::Int)
-            .col("score", ValueType::Float)
-            .col("tag", ValueType::Text)
-            .finish(),
-    )
-    .expect("Feature");
-    let tags: Vec<String> = (0..512)
-        .map(|i| format!("phrase_and_his_wife_{i}"))
-        .collect();
-    for i in 0..scan_rows {
-        db.insert(
-            "Feature",
-            row![
-                Value::Id(i as u64),
-                Value::Int((i % 1024) as i64),
-                Value::Float(i as f64 * 0.5),
-                tags[i % tags.len()].as_str()
-            ],
-        )
-        .expect("insert");
-    }
-    // Warm once, then take the best of three timed scans.
-    let mut scan_secs = f64::INFINITY;
-    let mut touched = 0usize;
-    for _ in 0..4 {
-        let t0 = Instant::now();
-        let rows = db.rows_counted("Feature").expect("scan");
-        let secs = t0.elapsed().as_secs_f64();
-        touched = rows.len();
-        if secs < scan_secs {
-            scan_secs = secs;
-        }
-    }
-    let scan_rps = touched as f64 / scan_secs.max(1e-9);
-    println!(
-        "  scan: {touched} rows in {:.1}ms  ({scan_rps:.0} rows/s)",
-        scan_secs * 1e3
-    );
-
-    // Join workload: the spouse candidate self-join (Mention ⋈ Mention on
-    // sentence id, m1 < m2) over 6k sentences × 4 mentions.
-    let jdb = Database::new();
-    jdb.create_relation(
-        Schema::build("Mention")
-            .col("s", ValueType::Id)
-            .col("m", ValueType::Id)
-            .finish(),
-    )
-    .expect("Mention");
-    jdb.create_relation(
-        Schema::build("Cand")
-            .col("m1", ValueType::Id)
-            .col("m2", ValueType::Id)
-            .finish(),
-    )
-    .expect("Cand");
-    let mut m = 0u64;
-    for s in 0..6000u64 {
-        for _ in 0..4 {
-            jdb.insert("Mention", row![Value::Id(s), Value::Id(m)])
-                .expect("insert");
-            m += 1;
-        }
-    }
-    let program = Program::new(vec![Rule::new(
-        "cand",
-        Atom::new("Cand", vec![Term::var("m1"), Term::var("m2")]),
-        vec![
-            Literal::pos(Atom::new("Mention", vec![Term::var("s"), Term::var("m1")])),
-            Literal::pos(Atom::new("Mention", vec![Term::var("s"), Term::var("m2")])),
-        ],
-    )
-    .with_builtin(Term::var("m1"), CmpOp::Lt, Term::var("m2"))]);
-    let ctx = ExecutionContext::from_env();
-    let mut join_secs = f64::INFINITY;
-    let mut derived = 0usize;
-    for _ in 0..4 {
-        let sp = StratifiedProgram::new(program.clone(), &jdb).expect("stratify");
-        let t0 = Instant::now();
-        sp.evaluate_ctx(&jdb, &ctx).expect("join");
-        let secs = t0.elapsed().as_secs_f64();
-        derived = jdb.len("Cand").expect("len");
-        jdb.clear("Cand").expect("clear");
-        if secs < join_secs {
-            join_secs = secs;
-        }
-    }
-    let join_input = m as usize;
-    let join_rps = (join_input + derived) as f64 / join_secs.max(1e-9);
-    println!(
-        "  join: {join_input} mentions -> {derived} candidates in {:.1}ms  ({join_rps:.0} rows/s)",
-        join_secs * 1e3
-    );
-
-    let engine = json!({
-        "scan_rows": touched,
-        "scan_secs": scan_secs,
-        "scan_rows_per_sec": scan_rps,
-        "join_input_rows": join_input,
-        "join_derived_rows": derived,
-        "join_secs": join_secs,
-        "join_rows_per_sec": join_rps,
-    });
-    // Frozen throughput of the row-oriented engine (HashMap<Row, i64>
-    // tables), measured with this exact harness on the pre-columnar tree —
-    // the "before" side of the refactor's before/after artifact.
-    let row_baseline = json!({
-        "scan_rows": 200_000,
-        "scan_secs": 0.04626662,
-        "scan_rows_per_sec": 4322770.9,
-        "join_input_rows": 24_000,
-        "join_derived_rows": 36_000,
-        "join_secs": 0.06367392,
-        "join_rows_per_sec": 942301.0,
-    });
-    // Frozen throughput of the columnar engine BEFORE the planner/index
-    // upgrade (index-nested-loop probes only, per-row Value materialization
-    // in filters), measured with this exact harness — the live engine above
-    // adds cost-based join planning, hash joins, and vectorized filters.
-    let columnar_baseline = json!({
-        "scan_rows": 200_000,
-        "scan_secs": 0.027979491,
-        "scan_rows_per_sec": 7148092.865592158,
-        "join_input_rows": 24_000,
-        "join_derived_rows": 36_000,
-        "join_secs": 0.043780332,
-        "join_rows_per_sec": 1370478.4148279186,
-    });
-    json!({
-        "experiment": "columnar-scan",
-        "engine": "indexed",
-        "indexed": engine,
-        "columnar_baseline": columnar_baseline,
-        "row_baseline": row_baseline,
-    })
-}
-
-/// Ingest fast path: a 64-client `POST /documents` burst against the serve
-/// daemon, group commit (2ms linger, one fsync per batch) vs. the
-/// per-request-fsync baseline (zero linger). Reports docs/sec and ack
-/// latency percentiles for both, plus the committer's batching gauges.
-pub fn ingest_burst() -> Json {
-    use deepdive_serve::{ServeConfig, Server};
-    use std::io::{Read, Write};
-    use std::net::TcpStream;
-    use std::sync::{Arc, Barrier};
-    use std::time::Duration;
-
-    println!("== ingest fast path: group commit vs per-request fsync ==");
-    const CLIENTS: usize = 64;
-    const DOCS_PER_CLIENT: usize = 3;
-    const DOCS: usize = CLIENTS * DOCS_PER_CLIENT;
-
-    let config = spouse_config(6);
-    let corpus = deepdive_corpus::spouse::generate(&config.corpus);
-    let mut proto = SpouseApp::build_with_corpus(config.clone(), corpus.clone()).expect("app");
-    proto.run().expect("base run");
-
-    // One small spouse sentence per request; every body is pre-serialized
-    // so client threads do no JSON work inside the timed window.
-    let bodies: Arc<Vec<String>> = Arc::new(
-        (0..DOCS)
-            .map(|i| {
-                let text = format!("Ava{i} Stone and her husband Ben{i} Stone toured the coast.");
-                let changes = proto.document_changes(&text);
-                assert!(!changes.is_empty(), "burst doc {i} produced no rows");
-                let mut by_relation: std::collections::BTreeMap<String, Vec<Json>> =
-                    std::collections::BTreeMap::new();
-                for ch in &changes {
-                    let cells: Vec<Json> = ch
-                        .row
-                        .iter()
-                        .map(|v| match v {
-                            deepdive_storage::Value::Null => Json::Null,
-                            deepdive_storage::Value::Bool(b) => json!(*b),
-                            deepdive_storage::Value::Int(n) => json!(*n),
-                            deepdive_storage::Value::Float(f) => json!(*f),
-                            deepdive_storage::Value::Text(t) => json!(t.as_ref()),
-                            deepdive_storage::Value::Id(id) => json!(*id),
-                        })
-                        .collect();
-                    by_relation
-                        .entry(ch.relation.clone())
-                        .or_default()
-                        .push(Json::Array(cells));
-                }
-                let mut rows = serde_json::Map::new();
-                for (relation, rel_rows) in by_relation {
-                    rows.insert(relation, Json::Array(rel_rows));
-                }
-                serde_json::to_string(&json!({ "rows": Json::Object(rows) })).unwrap()
-            })
-            .collect(),
-    );
-
-    fn post(addr: std::net::SocketAddr, body: &str) -> u16 {
-        let mut stream = TcpStream::connect(addr).expect("connect");
-        write!(
-            stream,
-            "POST /documents HTTP/1.1\r\nHost: bench\r\nContent-Length: {}\r\n\r\n{body}",
-            body.len()
-        )
-        .expect("send");
-        let mut raw = String::new();
-        stream.read_to_string(&mut raw).expect("read");
-        raw.split_whitespace()
-            .nth(1)
-            .unwrap_or("0")
-            .parse()
-            .unwrap_or(0)
-    }
-
-    fn get_json(addr: std::net::SocketAddr, path: &str) -> Json {
-        let mut stream = TcpStream::connect(addr).expect("connect");
-        write!(stream, "GET {path} HTTP/1.1\r\nHost: bench\r\n\r\n").expect("send");
-        let mut raw = String::new();
-        stream.read_to_string(&mut raw).expect("read");
-        serde_json::from_str(raw.split("\r\n\r\n").nth(1).unwrap_or("")).unwrap_or(Json::Null)
-    }
-
-    let pass = |label: &str, linger: Duration| -> Json {
-        let mut app =
-            SpouseApp::build_with_corpus(config.clone(), corpus.clone()).expect("pass app");
-        app.run().expect("pass base run");
-        // The WAL goes under target/ (real disk), not tmpfs, so the fsync
-        // cost the fast path amortizes is the cost real deployments pay.
-        let wal_dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-            .join("../../target")
-            .join(format!("bench-ingest-{label}"));
-        let _ = std::fs::remove_dir_all(&wal_dir);
-        let serve_config = ServeConfig {
-            workers: CLIENTS,
-            max_inflight: 2 * CLIENTS,
-            wal_dir: Some(wal_dir.clone()),
-            linger,
-            ..Default::default()
-        };
-        let server = Server::new(app.dd, &serve_config).expect("bind server");
-        let handle = server.start().expect("start server");
-        let addr = handle.addr();
-
-        let barrier = Arc::new(Barrier::new(CLIENTS + 1));
-        let clients: Vec<_> = (0..CLIENTS)
-            .map(|c| {
-                let barrier = barrier.clone();
-                let bodies = bodies.clone();
-                std::thread::spawn(move || {
-                    barrier.wait();
-                    let mut lat = Vec::with_capacity(DOCS_PER_CLIENT);
-                    for i in 0..DOCS_PER_CLIENT {
-                        let body = &bodies[c * DOCS_PER_CLIENT + i];
-                        let t0 = Instant::now();
-                        let status = post(addr, body);
-                        assert_eq!(status, 200, "burst ingest must ack");
-                        lat.push(t0.elapsed().as_secs_f64() * 1e3);
-                    }
-                    lat
-                })
-            })
-            .collect();
-        barrier.wait();
-        let t0 = Instant::now();
-        let mut latencies: Vec<f64> = Vec::with_capacity(DOCS);
-        for c in clients {
-            latencies.extend(c.join().expect("client thread"));
-        }
-        let wall = t0.elapsed().as_secs_f64();
-
-        let metrics = get_json(addr, "/metrics");
-        let gc = metrics["wal"]["group_commit"].clone();
-        handle.shutdown();
-        let _ = std::fs::remove_dir_all(&wal_dir);
-
-        latencies.sort_by(|a, b| a.partial_cmp(b).unwrap());
-        let pct = |p: f64| latencies[((latencies.len() - 1) as f64 * p) as usize];
-        let batches = gc["batches"].as_u64().unwrap_or(0);
-        let fsyncs = if batches > 0 { batches } else { DOCS as u64 };
-        let out = json!({
-            "linger_ms": linger.as_secs_f64() * 1e3,
-            "docs": DOCS,
-            "clients": CLIENTS,
-            "wall_secs": wall,
-            "docs_per_sec": DOCS as f64 / wall,
-            "ack_p50_ms": pct(0.50),
-            "ack_p99_ms": pct(0.99),
-            "fsyncs": fsyncs,
-            "group_commit": gc,
-        });
-        println!(
-            "  {label:>12}: {:8.1} docs/s  p50 {:6.2}ms  p99 {:6.2}ms  {fsyncs} fsyncs",
-            out["docs_per_sec"].as_f64().unwrap(),
-            out["ack_p50_ms"].as_f64().unwrap(),
-            out["ack_p99_ms"].as_f64().unwrap(),
-        );
-        out
-    };
-
-    let baseline = pass("baseline", Duration::ZERO);
-    let group = pass("group-commit", Duration::from_millis(2));
-    let speedup =
-        group["docs_per_sec"].as_f64().unwrap() / baseline["docs_per_sec"].as_f64().unwrap();
-    println!("  group-commit speedup: {speedup:.2}x (target ≥3x)");
-    json!({
-        "experiment": "ingest-burst",
-        "baseline_per_request_fsync": baseline,
-        "group_commit": group,
-        "speedup": speedup,
-        "target_speedup": 3.0,
-    })
-}

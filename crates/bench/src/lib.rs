@@ -5,8 +5,7 @@
 //! full sweep, or name a single experiment (`fig2`, `fig5`,
 //! `dimmwitted-vs-graphlab`, `numa`, `incremental-grounding`,
 //! `incremental-inference`, `distant-supervision`, `iteration-loop`,
-//! `regex-plateau`, `supervision-leak`, `threshold-sweep`,
-//! `parallel-scaling`).
+//! `regex-plateau`, `supervision-leak`, `threshold-sweep`, `paleo-scale`).
 
 pub mod experiments;
 

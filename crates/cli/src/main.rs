@@ -67,7 +67,7 @@
 //!                            memory only (exploratory serving)
 //!     --linger-ms <n>        group-commit window: concurrent ingests that
 //!                            arrive within n ms share one WAL fsync
-//!                            (default 2; 0 fsyncs per request)
+//!                            (default 2; 0 = no wait, batch of one)
 //!     --wal-segment-bytes <n> rotate the WAL into a new segment once the
 //!                            active one reaches n bytes (default 4 MiB);
 //!                            checkpointed segments are deleted whole

@@ -76,7 +76,7 @@ impl ServeState {
     /// now owned by the checkpoint (and retained only for followers still
     /// fetching them). Requires the writer lock to be free (callers must
     /// not hold it). The writer lock is held across both the save and the
-    /// mark (writer → wal, the same order `post_documents` takes) so no
+    /// mark (writer → wal, the same order `apply_records` takes) so no
     /// ingest can append between them — an interleaved append would be
     /// applied and acked, then silently skipped by the mark without being
     /// in the checkpoint.
@@ -144,12 +144,9 @@ impl ServeState {
     }
 }
 
-/// The background flusher: every `interval`, checkpoint pending WAL records
-/// incrementally and compact checkpointed segments past the retention
-/// horizon. Runs on its own thread — an in-flight flush or compaction never
-/// sits between a request and its ack, and `/readyz` never leaves `Ready`
-/// for either.
-pub(crate) fn flusher_loop(state: &ServeState, interval: Duration) {
+/// The body of the background flusher and scrubber threads: run `tick`
+/// every `interval` while the node is `Ready`, until shutdown.
+pub(crate) fn run_every(state: &ServeState, interval: Duration, tick: fn(&ServeState)) {
     let mut last = Instant::now();
     loop {
         std::thread::sleep(Duration::from_millis(25));
@@ -160,42 +157,33 @@ pub(crate) fn flusher_loop(state: &ServeState, interval: Duration) {
             continue;
         }
         last = Instant::now();
-        if state.faults.trips(points::WAL_COMPACT_STALL) {
-            // Deterministically widen the in-flight window so tests can
-            // watch `/readyz` hold steady across a slow flush cycle.
-            std::thread::sleep(Duration::from_millis(200));
-        }
-        if state.wal_gauges().0 > 0 {
-            if let Err(e) = state.flush_checkpoint() {
-                eprintln!(
-                    "deepdive serve: WARNING: periodic checkpoint flush failed ({e}); \
-                     keeping the WAL for the next attempt"
-                );
-                continue;
-            }
-        }
-        if let Some(wal) = &state.wal {
-            if let Err(e) = wal.lock().compact() {
-                eprintln!("deepdive serve: WARNING: WAL compaction failed: {e}");
-            }
-        }
+        tick(state);
     }
 }
 
-/// The anti-entropy scrubber thread: every `interval`, run one scrub pass
-/// (WAL frame checksums, checkpoint chain hashes, cross-node fingerprint).
-pub(crate) fn scrubber_loop(state: &ServeState, interval: Duration) {
-    let mut last = Instant::now();
-    loop {
-        std::thread::sleep(Duration::from_millis(25));
-        if state.stop_requested() {
-            break;
+/// One flusher tick: checkpoint pending WAL records incrementally and
+/// compact checkpointed segments past the retention horizon. Runs on its
+/// own thread — an in-flight flush or compaction never sits between a
+/// request and its ack, and `/readyz` never leaves `Ready` for either.
+pub(crate) fn flush_tick(state: &ServeState) {
+    if state.faults.trips(points::WAL_COMPACT_STALL) {
+        // Deterministically widen the in-flight window so tests can
+        // watch `/readyz` hold steady across a slow flush cycle.
+        std::thread::sleep(Duration::from_millis(200));
+    }
+    if state.wal_gauges().0 > 0 {
+        if let Err(e) = state.flush_checkpoint() {
+            eprintln!(
+                "deepdive serve: WARNING: periodic checkpoint flush failed ({e}); \
+                 keeping the WAL for the next attempt"
+            );
+            return;
         }
-        if last.elapsed() < interval || state.lifecycle() != Lifecycle::Ready {
-            continue;
+    }
+    if let Some(wal) = &state.wal {
+        if let Err(e) = wal.lock().compact() {
+            eprintln!("deepdive serve: WARNING: WAL compaction failed: {e}");
         }
-        last = Instant::now();
-        scrub_once(state);
     }
 }
 
@@ -204,7 +192,7 @@ pub(crate) fn scrubber_loop(state: &ServeState, interval: Duration) {
 /// (from the primary for a follower, from a fresh flush for a primary),
 /// and — on a caught-up follower — compare served fingerprints with the
 /// primary to catch silent divergence no checksum can see.
-fn scrub_once(state: &ServeState) {
+pub(crate) fn scrub_once(state: &ServeState) {
     state.scrub.runs.fetch_add(1, Ordering::SeqCst);
     if state.corrupt_reason().is_some() {
         // Already degraded; nothing more a scrub can do.
@@ -212,7 +200,7 @@ fn scrub_once(state: &ServeState) {
     }
 
     // 1. WAL: every frame, every segment, read back from disk.
-    if let Some(wal) = state.wal_handle() {
+    if let Some(wal) = &state.wal {
         let verified = wal.lock().verify();
         if let Err(e) = verified {
             state.scrub.corrupt_found.fetch_add(1, Ordering::SeqCst);
@@ -223,7 +211,7 @@ fn scrub_once(state: &ServeState) {
 
     // 2. Checkpoint chain: every artifact against its manifest hash, every
     // delta against the chain.
-    if let Some(dir) = state.checkpoint_dir() {
+    if let Some(dir) = &state.checkpoint_dir {
         if dir.join("MANIFEST.tsv").exists() {
             let verified =
                 Checkpoint::new(dir.to_path_buf()).and_then(|ckpt| ckpt.verify().map(|_| ()));
@@ -286,6 +274,26 @@ fn scrub_fingerprint(state: &ServeState, primary: &str) {
     }
 }
 
+/// A follower's repair for either artifact: re-seed everything from the
+/// primary's checkpoint. False (after logging why) when that failed.
+fn repair_from_primary(state: &ServeState, what: &str) -> bool {
+    let Some(primary) = &state.follow else {
+        return false;
+    };
+    match state.resync_from_primary(primary) {
+        Ok(_) => {
+            state.scrub.repaired.fetch_add(1, Ordering::SeqCst);
+            state.replication.resyncs.fetch_add(1, Ordering::SeqCst);
+            eprintln!("deepdive serve: scrub: {what} repaired from the primary");
+            true
+        }
+        Err(e) => {
+            eprintln!("deepdive serve: scrub: peer repair failed: {e}");
+            false
+        }
+    }
+}
+
 /// Repair a corrupt WAL. A follower re-seeds from the primary's checkpoint
 /// (peer repair); a primary's applied state is intact in memory, so it
 /// flushes a fresh checkpoint and rewrites the log empty at the same
@@ -293,24 +301,13 @@ fn scrub_fingerprint(state: &ServeState, primary: &str) {
 /// 410 → resync). When neither works the node degrades to read-only.
 fn repair_wal(state: &ServeState, err: &io::Error) {
     if state.is_follower() {
-        if let Some(primary) = state.follow.clone() {
-            match state.resync_from_primary(&primary) {
-                Ok(_) => {
-                    state.scrub.repaired.fetch_add(1, Ordering::SeqCst);
-                    state.replication.resyncs.fetch_add(1, Ordering::SeqCst);
-                    eprintln!("deepdive serve: scrub: WAL repaired from the primary");
-                    return;
-                }
-                Err(re) => {
-                    eprintln!("deepdive serve: scrub: peer repair failed: {re}")
-                }
-            }
+        if !repair_from_primary(state, "WAL") {
+            state.set_corrupt(format!("WAL corrupt and peer repair failed: {err}"));
         }
-        state.set_corrupt(format!("WAL corrupt and peer repair failed: {err}"));
         return;
     }
     let repaired = state.flush_checkpoint().and_then(|()| {
-        let wal = state.wal_handle().expect("repair runs only with a WAL");
+        let wal = state.wal.as_ref().expect("repair runs only with a WAL");
         let mut w = wal.lock();
         let (stream, next, term) = (w.stream_id(), w.next_seq(), w.term());
         w.reset_stream(stream, next, term)
@@ -332,7 +329,7 @@ fn repair_wal(state: &ServeState, err: &io::Error) {
 /// follower fetches the primary's bundle, a primary rewrites the full
 /// checkpoint from its live state.
 fn repair_checkpoint(state: &ServeState, file: Option<&str>, reason: &str) {
-    if let (Some(dir), Some(file)) = (state.checkpoint_dir(), file) {
+    if let (Some(dir), Some(file)) = (&state.checkpoint_dir, file) {
         let bad = dir.join(file);
         if bad.exists() {
             match std::fs::rename(&bad, dir.join(format!("{file}.quarantine"))) {
@@ -342,20 +339,11 @@ fn repair_checkpoint(state: &ServeState, file: Option<&str>, reason: &str) {
         }
     }
     if state.is_follower() {
-        if let Some(primary) = state.follow.clone() {
-            match state.resync_from_primary(&primary) {
-                Ok(_) => {
-                    state.scrub.repaired.fetch_add(1, Ordering::SeqCst);
-                    state.replication.resyncs.fetch_add(1, Ordering::SeqCst);
-                    eprintln!("deepdive serve: scrub: checkpoint repaired from the primary");
-                    return;
-                }
-                Err(re) => eprintln!("deepdive serve: scrub: peer repair failed: {re}"),
-            }
+        if !repair_from_primary(state, "checkpoint") {
+            state.set_corrupt(format!(
+                "checkpoint corrupt and peer repair failed: {reason}"
+            ));
         }
-        state.set_corrupt(format!(
-            "checkpoint corrupt and peer repair failed: {reason}"
-        ));
         return;
     }
     // Primary: the served state is the source of truth; force the next
@@ -496,7 +484,7 @@ pub(crate) fn post_promote(req: &Request, state: &ServeState) -> Response {
 /// the frame format). Flushes first so the bundle is current through every
 /// applied record. This is what a 410'd follower resyncs from.
 pub(crate) fn get_checkpoint_bundle(state: &ServeState) -> Response {
-    let Some(dir) = state.checkpoint_dir().map(|d| d.to_path_buf()) else {
+    let Some(dir) = state.checkpoint_dir.clone() else {
         return Response::error(404, "this node keeps no checkpoint (no checkpoint dir)");
     };
     if state.lifecycle() != Lifecycle::Ready {

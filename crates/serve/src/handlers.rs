@@ -14,6 +14,7 @@ use deepdive_storage::{Row, Schema};
 use serde_json::{json, Map, Value as Json};
 use std::io::{self, Write};
 use std::net::TcpStream;
+use std::str::FromStr;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -46,6 +47,21 @@ impl ServeState {
         })
     }
 
+    /// The `checkpoint` gauge object shared by `/metrics` and `report.json`.
+    fn checkpoint_json(&self) -> Json {
+        let ck = self.ckpt_stats.lock().clone();
+        json!({
+            "enabled": self.checkpoint_dir.is_some(),
+            "flushes": ck.flushes,
+            "full_rewrites": ck.full_rewrites,
+            "incremental": json!({
+                "artifacts_written": ck.artifacts_written,
+                "artifacts_skipped": ck.artifacts_skipped,
+                "chain_len": ck.chain_len,
+            }),
+        })
+    }
+
     /// Write the replay report (`report.json` in the WAL dir): what the
     /// recovery scan found and what replay did — including `wal_torn_tail`,
     /// the flag operators alert on.
@@ -64,7 +80,6 @@ impl ServeState {
             }
             None => (0, 0, 0),
         };
-        let ck = self.ckpt_stats.lock().clone();
         let report = json!({
             "wal": json!({
                 "wal_torn_tail": stats.torn_tail_recovered,
@@ -78,16 +93,7 @@ impl ServeState {
                 "compactions": compactions,
                 "group_commit": self.group_commit_json(),
             }),
-            "checkpoint": json!({
-                "enabled": self.checkpoint_dir.is_some(),
-                "flushes": ck.flushes,
-                "full_rewrites": ck.full_rewrites,
-                "incremental": json!({
-                    "artifacts_written": ck.artifacts_written,
-                    "artifacts_skipped": ck.artifacts_skipped,
-                    "chain_len": ck.chain_len,
-                }),
-            }),
+            "checkpoint": self.checkpoint_json(),
             "replication": self.replication.to_json(self.is_follower()),
             "term": self.term(),
             "scrub": self.scrub_json(),
@@ -139,7 +145,7 @@ pub(crate) fn readyz(state: &ServeState) -> Response {
     let replication = state.is_follower().then(|| {
         json!({
             "lag_epochs": repl.lag_epochs(),
-            "max_lag_epochs": state.max_lag_epochs(),
+            "max_lag_epochs": state.max_lag_epochs,
             "connected": repl.connected.load(Ordering::SeqCst),
             "handshook": repl.handshook.load(Ordering::SeqCst),
             "diverged": repl.diverged.load(Ordering::SeqCst),
@@ -166,7 +172,7 @@ pub(crate) fn readyz(state: &ServeState) -> Response {
             Some("diverged")
         } else if !repl.handshook.load(Ordering::SeqCst) {
             Some("syncing")
-        } else if repl.lag_epochs() > state.max_lag_epochs() {
+        } else if repl.lag_epochs() > state.max_lag_epochs {
             Some("lagging")
         } else {
             None
@@ -230,7 +236,6 @@ pub(crate) fn metrics(state: &ServeState) -> Response {
         }
         None => (None, 0, 0, 0),
     };
-    let ck = state.ckpt_stats.lock().clone();
     Response::json(
         200,
         &json!({
@@ -267,16 +272,7 @@ pub(crate) fn metrics(state: &ServeState) -> Response {
                 "compactions": wal_compactions,
                 "group_commit": state.group_commit_json(),
             }),
-            "checkpoint": json!({
-                "enabled": state.checkpoint_dir.is_some(),
-                "flushes": ck.flushes,
-                "full_rewrites": ck.full_rewrites,
-                "incremental": json!({
-                    "artifacts_written": ck.artifacts_written,
-                    "artifacts_skipped": ck.artifacts_skipped,
-                    "chain_len": ck.chain_len,
-                }),
-            }),
+            "checkpoint": state.checkpoint_json(),
             "replication": state.replication().to_json(state.is_follower()),
             "term": state.term(),
             "scrub": state.scrub_json(),
@@ -294,7 +290,9 @@ pub(crate) fn metrics(state: &ServeState) -> Response {
     )
 }
 
-fn row_to_json(schema: Option<&Schema>, row: &Row) -> Json {
+/// One row as a JSON object keyed by column name, plus one extra field
+/// (`count` on relations, `probability` on marginals).
+fn row_to_json(schema: Option<&Schema>, row: &Row, extra: &str, extra_value: Json) -> Json {
     let mut obj = Map::new();
     for (i, v) in row.iter().enumerate() {
         let name = schema
@@ -303,22 +301,26 @@ fn row_to_json(schema: Option<&Schema>, row: &Row) -> Json {
             .unwrap_or_else(|| format!("c{i}"));
         obj.insert(name, value_to_json(v));
     }
+    obj.insert(extra.into(), extra_value);
     Json::Object(obj)
+}
+
+/// Query parameter `key` parsed as a `T` (`default` when absent); the error
+/// is the 400 saying what `kind` of value it should have been.
+fn query_or<T: FromStr>(req: &Request, key: &str, default: T, kind: &str) -> Result<T, Response> {
+    match req.query_param(key) {
+        None => Ok(default),
+        Some(raw) => raw
+            .parse()
+            .map_err(|_| Response::error(400, &format!("{key}: `{raw}` is not {kind}"))),
+    }
 }
 
 /// Parse `offset`/`limit` query params, clamping `limit` to the configured
 /// page cap.
 fn paging(req: &Request, page_limit: usize) -> Result<(usize, usize), Response> {
-    let parse = |key: &str, default: usize| -> Result<usize, Response> {
-        match req.query_param(key) {
-            None => Ok(default),
-            Some(raw) => raw
-                .parse()
-                .map_err(|_| Response::error(400, &format!("{key}: `{raw}` is not an integer"))),
-        }
-    };
-    let offset = parse("offset", 0)?;
-    let limit = parse("limit", page_limit)?.min(page_limit);
+    let offset = query_or(req, "offset", 0, "an integer")?;
+    let limit = query_or(req, "limit", page_limit, "an integer")?.min(page_limit);
     Ok((offset, limit))
 }
 
@@ -396,12 +398,7 @@ pub(crate) fn get_relation(req: &Request, name: &str, state: &ServeState) -> Res
     let mut rows = Vec::new();
     for (row, count) in scan.iter().filter(|(row, _)| filter.matches(row)) {
         if total >= offset && rows.len() < limit {
-            let mut obj = match row_to_json(Some(rel.schema()), row) {
-                Json::Object(o) => o,
-                _ => unreachable!("row_to_json returns an object"),
-            };
-            obj.insert("count".into(), json!(*count));
-            rows.push(Json::Object(obj));
+            rows.push(row_to_json(Some(rel.schema()), row, "count", json!(*count)));
         }
         total += 1;
     }
@@ -432,19 +429,11 @@ pub(crate) fn get_marginals(req: &Request, name: &str, state: &ServeState) -> Re
         Ok(p) => p,
         Err(resp) => return resp,
     };
-    let parse_p = |key: &str, default: f64| -> Result<f64, Response> {
-        match req.query_param(key) {
-            None => Ok(default),
-            Some(raw) => raw
-                .parse()
-                .map_err(|_| Response::error(400, &format!("{key}: `{raw}` is not a number"))),
-        }
-    };
-    let min_p = match parse_p("min_p", 0.0) {
+    let min_p = match query_or(req, "min_p", 0.0, "a number") {
         Ok(p) => p,
         Err(resp) => return resp,
     };
-    let max_p = match parse_p("max_p", 1.0) {
+    let max_p = match query_or(req, "max_p", 1.0, "a number") {
         Ok(p) => p,
         Err(resp) => return resp,
     };
@@ -458,12 +447,7 @@ pub(crate) fn get_marginals(req: &Request, name: &str, state: &ServeState) -> Re
         .filter(|(_, p)| *p >= min_p && *p <= max_p)
     {
         if total >= offset && rows.len() < limit {
-            let mut obj = match row_to_json(schema, row) {
-                Json::Object(o) => o,
-                _ => unreachable!("row_to_json returns an object"),
-            };
-            obj.insert("probability".into(), json!(*p));
-            rows.push(Json::Object(obj));
+            rows.push(row_to_json(schema, row, "probability", json!(*p)));
         }
         total += 1;
     }
@@ -508,22 +492,8 @@ pub(crate) fn post_subscriptions(req: &Request, w: &mut TcpStream, state: &Serve
         let _ = resp.write_to(w);
         ok
     };
-    match state.lifecycle() {
-        Lifecycle::Ready => {}
-        Lifecycle::Replaying => {
-            return respond(
-                w,
-                Response::error(503, "not ready: WAL replay in progress")
-                    .with_retry_after(jittered_retry_secs(1)),
-            );
-        }
-        Lifecycle::Draining => {
-            return respond(
-                w,
-                Response::error(503, "draining for shutdown")
-                    .with_retry_after(jittered_retry_secs(1)),
-            );
-        }
+    if let Some(not_ready) = state.not_ready_response() {
+        return respond(w, not_ready);
     }
     let Ok(text) = std::str::from_utf8(&req.body) else {
         return respond(w, Response::error(400, "body is not UTF-8"));
@@ -714,19 +684,14 @@ pub(crate) fn poll_subscription(req: &Request, id: &str, state: &ServeState) -> 
             }),
         );
     };
-    let from = match req.query_param("from") {
-        None => sub.q.lock().acked_through,
-        Some(raw) => match raw.parse::<u64>() {
-            Ok(v) => v,
-            Err(_) => return Response::error(400, &format!("from: `{raw}` is not an integer")),
-        },
+    let acked = sub.q.lock().acked_through;
+    let from = match query_or(req, "from", acked, "an integer") {
+        Ok(from) => from,
+        Err(resp) => return resp,
     };
-    let wait = match req.query_param("wait_ms") {
-        None => Duration::ZERO,
-        Some(raw) => match raw.parse::<u64>() {
-            Ok(ms) => Duration::from_millis(ms).min(SUB_MAX_WAIT),
-            Err(_) => return Response::error(400, &format!("wait_ms: `{raw}` is not an integer")),
-        },
+    let wait = match query_or(req, "wait_ms", 0u64, "an integer") {
+        Ok(ms) => Duration::from_millis(ms).min(SUB_MAX_WAIT),
+        Err(resp) => return resp,
     };
 
     let needs_reset = {

@@ -1,6 +1,9 @@
-//! The write path: `POST /documents` gating and parsing, the group
-//! committer, WAL replay at startup, and the follower's replicated apply —
-//! everything that changes the served state.
+//! The write path. Every change to the served state goes through
+//! [`ServeState::apply_records`]; its three callers differ only in where the
+//! bytes came from and what a rejection means: the group committer behind
+//! `POST /documents` (400/500 to the client), WAL replay at startup
+//! (warn and skip; fatal on a follower), and the follower's tailer in
+//! [`crate::replication`] (fatal divergence).
 
 use crate::http::{Request, Response};
 use crate::replication::jittered_retry_secs;
@@ -9,12 +12,13 @@ use crate::snapshot::ServeSnapshot;
 use crate::subscriptions::{EpochDelta, IvmTrace};
 use deepdive_core::faults::points;
 use deepdive_core::DeepDive;
+use deepdive_grounding::GroundingDelta;
 use deepdive_inference::bounded_options;
 use deepdive_sampler::GibbsOptions;
 use deepdive_storage::{value_from_tsv, BaseChange, Value as DbValue, ValueType};
 use serde_json::{json, Value as Json};
 use std::collections::HashSet;
-use std::io;
+use std::fmt;
 use std::sync::atomic::Ordering;
 use std::sync::mpsc;
 use std::time::{Duration, Instant};
@@ -92,53 +96,203 @@ impl ServeState {
         }
         (epoch, fingerprint)
     }
+}
 
-    /// Apply one record shipped from the primary: durably append it to the
-    /// local WAL (the resume offset moves only over fsync'd records), then
-    /// run it through the same validate → DRed/IVM → bounded-refresh →
-    /// snapshot-swap path a live `POST /documents` takes — which is what
-    /// makes a caught-up follower's marginals bit-identical to the
-    /// primary's. `InvalidData` means the record can never apply here
-    /// (divergence); other errors are local-disk transients.
-    ///
-    /// Lock order: wal (append, released), then writer — the same order as
-    /// `post_documents` and `flush_checkpoint`, so the three can interleave
-    /// but never deadlock.
-    pub(crate) fn ingest_replicated(&self, payload: &[u8]) -> io::Result<()> {
-        let wal = self.wal.as_ref().expect("follower mode requires a WAL");
-        let seq = match wal.lock().append(payload) {
-            Ok(seq) => seq,
-            Err(e) => {
-                self.note_storage_error(&e, "replicated WAL append");
-                return Err(e);
-            }
-        };
-        let mut dd = self.writer.lock();
-        let changes = parse_ingest_body(&dd, &self.derived, payload).map_err(|resp| {
-            io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("replicated record failed validation: {}", resp.body),
-            )
-        })?;
-        let (delta, result) = dd.apply_base_changes_traced(changes).map_err(|e| {
-            io::Error::new(io::ErrorKind::InvalidData, format!("DRed/IVM refused: {e}"))
-        })?;
-        let mut trace = IvmTrace::default();
-        trace.absorb(&result);
-        let opts = bounded_options(&self.inference, &self.refresh, delta.total());
-        self.publish_epoch(&dd, 1, &opts, trace);
-        // Advance the applied offset while still holding the writer lock so
-        // a concurrent checkpoint flush can never mark past what the
-        // checkpoint it just saved actually contains.
-        self.replication
-            .applied_seq
-            .store(seq + 1, Ordering::SeqCst);
-        self.replication.observe_watermark(seq + 1);
-        self.replication
-            .records_applied
-            .fetch_add(1, Ordering::SeqCst);
-        Ok(())
+/// Where a batch of records came from, which decides whether it still has
+/// to be made durable.
+pub(crate) enum Origin {
+    /// New to this node — a client's `POST /documents` or a frame from the
+    /// primary's stream: fsync'd to the WAL (when there is one) before
+    /// anything is applied.
+    New,
+    /// Recovered from the local WAL at startup: already durable.
+    Logged,
+}
+
+/// What one accepted record did.
+pub(crate) struct Applied {
+    /// Base rows the record carried.
+    inserted: usize,
+    delta: GroundingDelta,
+}
+
+/// Why a record left the served state untouched.
+pub(crate) enum Rejected {
+    /// Failed validation against the live schemas; never reached the log.
+    Invalid(String),
+    /// The WAL refused the batch; nothing in it was applied.
+    Wal(String),
+    /// DRed/IVM refused the record; it was cut back off the log.
+    Apply(String),
+    /// Applied in memory, but the log could not be rewritten after a
+    /// batch-mate's apply failure — durability is gone, so no ack.
+    Poisoned,
+}
+
+impl fmt::Display for Rejected {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Rejected::Invalid(why) => write!(f, "failed validation: {why}"),
+            Rejected::Wal(e) => write!(f, "WAL append failed: {e}"),
+            Rejected::Apply(e) => write!(f, "DRed/IVM refused: {e}"),
+            Rejected::Poisoned => f.write_str(
+                "WAL rewrite failed after a batch-mate's apply failure; \
+                 log poisoned until the next checkpoint flush",
+            ),
+        }
     }
+}
+
+/// The epoch one [`ServeState::apply_records`] call published.
+pub(crate) struct Published {
+    epoch: u64,
+    fingerprint: u64,
+    refresh_samples: usize,
+}
+
+/// One outcome per input record, in order, plus the epoch they were
+/// published as (`None` when no record applied).
+pub(crate) struct Commit {
+    pub(crate) outcomes: Vec<Result<Applied, Rejected>>,
+    published: Option<Published>,
+}
+
+impl ServeState {
+    /// The one place the served state changes: validate each record, make
+    /// the valid ones durable with a single fsync ([`Origin::New`] with a
+    /// WAL), apply each through DRed/IVM on its own so one bad record
+    /// cannot fail its neighbors, cut records that failed to apply back
+    /// off the log, then run one bounded refresh sized by the summed
+    /// grounding delta and publish one snapshot swap. The epoch advances
+    /// by one per applied record, which keeps it in lockstep with the WAL
+    /// seq on every node.
+    ///
+    /// Lock order: writer for the whole call, wal only briefly inside it —
+    /// the same order `flush_checkpoint` and `post_promote` take. Holding
+    /// the writer lock across append and apply is what lets a rollback
+    /// assume nothing was appended after the batch, and lets a checkpoint
+    /// flush assume every logged record is applied.
+    ///
+    /// Callers decide what a rejection means: a 400/500 to a client, a
+    /// warning on a primary's replay, fatal divergence on a follower.
+    pub(crate) fn apply_records(&self, records: &[&[u8]], origin: Origin) -> Commit {
+        let mut dd = self.writer.lock();
+        let wal = match origin {
+            Origin::New => self.wal.as_ref(),
+            Origin::Logged => None,
+        };
+
+        let parsed: Vec<Result<Vec<BaseChange>, Rejected>> = records
+            .iter()
+            .map(|body| parse_ingest_body(&dd, &self.derived, body).map_err(Rejected::Invalid))
+            .collect();
+
+        // Durability first, one fsync for every valid record. A failed
+        // append fails them all: nothing was applied, nobody is acked.
+        let mut mark = None;
+        if let Some(wal) = wal {
+            let valid = accepted(records, &parsed);
+            if !valid.is_empty() {
+                let mut wal = wal.lock();
+                mark = Some(wal.mark());
+                if let Err(e) = wal.append_batch(&valid) {
+                    self.note_storage_error(&e, "WAL append");
+                    let outcomes = parsed
+                        .into_iter()
+                        .map(|p| Err(p.err().unwrap_or_else(|| Rejected::Wal(e.to_string()))))
+                        .collect();
+                    return Commit {
+                        outcomes,
+                        published: None,
+                    };
+                }
+                self.group_commit.batches.fetch_add(1, Ordering::Relaxed);
+                self.group_commit
+                    .records
+                    .fetch_add(valid.len() as u64, Ordering::Relaxed);
+            }
+        }
+
+        let mut trace = IvmTrace::default();
+        let mut outcomes: Vec<Result<Applied, Rejected>> = parsed
+            .into_iter()
+            .map(|p| {
+                let changes = p?;
+                let inserted = changes.len();
+                let (delta, result) = dd
+                    .apply_base_changes_traced(changes)
+                    .map_err(|e| Rejected::Apply(e.to_string()))?;
+                trace.absorb(&result);
+                Ok(Applied { inserted, delta })
+            })
+            .collect();
+
+        if let (Some(wal), Some(mark)) = (wal, &mark) {
+            if outcomes
+                .iter()
+                .any(|o| matches!(o, Err(Rejected::Apply(_))))
+            {
+                // A rejection promises "no durable trace": cut the batch
+                // off the log and re-append only what applied, so a restart
+                // can never replay a record whose sender was told it failed.
+                let keep = accepted(records, &outcomes);
+                let mut wal = wal.lock();
+                let rewrite = wal
+                    .rollback_to(mark)
+                    .and_then(|()| wal.append_batch(&keep).map(|_| ()));
+                if let Err(e) = rewrite {
+                    // The log no longer matches what was applied and refuses
+                    // appends until a checkpoint flush repairs it. The
+                    // applied records' in-memory effects surface in a later
+                    // epoch (the poison-window caveat, DESIGN §13).
+                    eprintln!(
+                        "deepdive serve: WARNING: could not roll failed ingests off the WAL \
+                         ({e}); log poisoned until the next checkpoint flush"
+                    );
+                    for o in outcomes.iter_mut().filter(|o| o.is_ok()) {
+                        *o = Err(Rejected::Poisoned);
+                    }
+                    return Commit {
+                        outcomes,
+                        published: None,
+                    };
+                }
+            }
+        }
+
+        let applied = outcomes.iter().flatten().count();
+        let published = (applied > 0).then(|| {
+            let changed = outcomes.iter().flatten().map(|a| a.delta.total()).sum();
+            let opts = bounded_options(&self.inference, &self.refresh, changed);
+            let (epoch, fingerprint) = self.publish_epoch(&dd, applied as u64, &opts, trace);
+            Published {
+                epoch,
+                fingerprint,
+                refresh_samples: opts.samples,
+            }
+        });
+        // Every record in the local log is now applied or skipped. The
+        // books move while the writer lock is still held, so a concurrent
+        // checkpoint flush can never mark past what it saved.
+        if let Some(wal) = &self.wal {
+            let next = wal.lock().next_seq();
+            self.replication.applied_seq.store(next, Ordering::SeqCst);
+            self.replication.observe_watermark(next);
+        }
+        Commit {
+            outcomes,
+            published,
+        }
+    }
+}
+
+/// The records whose result so far is `Ok`, in order.
+fn accepted<'a, T>(records: &[&'a [u8]], results: &[Result<T, Rejected>]) -> Vec<&'a [u8]> {
+    records
+        .iter()
+        .zip(results)
+        .filter_map(|(body, r)| r.is_ok().then_some(*body))
+        .collect()
 }
 
 /// Largest batch one group commit will take — past this the committer
@@ -173,212 +327,70 @@ pub(crate) fn committer_loop(state: &ServeState, rx: &mpsc::Receiver<CommitReque
     }
 }
 
-/// Commit one batch: parse every body, fsync them as a single WAL append,
-/// apply each through DRed/IVM, publish one snapshot swap, and answer every
+/// Commit one batch through [`ServeState::apply_records`] and answer every
 /// request — 200 only after both its batch's fsync and its own apply
-/// succeeded, exactly the per-request ack semantics, amortized.
+/// succeeded. Subscribers see the whole batch as one delta set.
 fn commit_batch(state: &ServeState, batch: Vec<CommitRequest>) {
-    let mut dd = state.writer.lock();
-
-    // Validation failures drop out of the batch with a 400 before anything
-    // touches the log.
-    let mut parsed = Vec::with_capacity(batch.len());
-    for req in batch {
-        match parse_ingest_body(&dd, &state.derived, &req.body) {
-            Ok(changes) => parsed.push((req, changes)),
-            Err(resp) => {
-                let _ = req.reply.send(resp);
-            }
-        }
-    }
-    if parsed.is_empty() {
-        return;
-    }
-
-    // Durability first, one fsync for the whole batch. A failed append is a
-    // failed batch: nothing was applied yet, nobody is acknowledged.
-    let wal = state.wal.as_ref().expect("committer runs only with a WAL");
-    let mark = wal.lock().mark();
-    {
-        let bodies: Vec<&[u8]> = parsed.iter().map(|(req, _)| req.body.as_slice()).collect();
-        if let Err(e) = wal.lock().append_batch(&bodies) {
-            state.note_storage_error(&e, "WAL batch append");
-            let msg = format!("ingest not applied: WAL append failed: {e}");
-            for (req, _) in parsed {
-                let _ = req.reply.send(Response::error(500, &msg));
-            }
-            return;
-        }
-    }
-    state.group_commit.batches.fetch_add(1, Ordering::Relaxed);
-    state
-        .group_commit
-        .records
-        .fetch_add(parsed.len() as u64, Ordering::Relaxed);
-
-    // Apply each record on its own: one bad batch-mate must not fail its
-    // neighbors.
-    let mut applied: Vec<(CommitRequest, usize, Json, usize)> = Vec::with_capacity(parsed.len());
-    let mut failed: Vec<(CommitRequest, String)> = Vec::new();
-    let mut trace = IvmTrace::default();
-    for (req, changes) in parsed {
-        let inserted = changes.len();
-        match dd.apply_base_changes_traced(changes) {
-            Ok((delta, result)) => {
-                trace.absorb(&result);
-                let delta_json = json!({
-                    "added_variables": delta.added_variables,
-                    "removed_variables": delta.removed_variables,
-                    "added_factors": delta.added_factors,
-                    "removed_factors": delta.removed_factors,
-                    "evidence_changes": delta.evidence_changes,
-                    "total": delta.total(),
-                });
-                applied.push((req, inserted, delta_json, delta.total()));
-            }
-            Err(e) => failed.push((req, e.to_string())),
-        }
-    }
-
-    if !failed.is_empty() {
-        // The 500s promise "no durable trace": cut the whole batch off the
-        // log and re-append only the applied records, so a restart can
-        // never replay a record whose client was told it failed. The writer
-        // lock is still held, so nothing appended after the batch.
-        let rewrite = {
-            let mut wal = wal.lock();
-            wal.rollback_to(&mark).and_then(|()| {
-                let keep: Vec<&[u8]> = applied
-                    .iter()
-                    .map(|(req, ..)| req.body.as_slice())
-                    .collect();
-                wal.append_batch(&keep).map(|_| ())
-            })
-        };
-        if let Err(re) = rewrite {
-            // The log no longer matches what was applied and is poisoned
-            // until the next checkpoint flush repairs it. Nobody gets an
-            // ack: the durability half of the promise is gone for the
-            // applied records too. (Their in-memory effects surface in a
-            // later epoch — the same poison-window caveat as the
-            // single-request path, see DESIGN §13.)
-            eprintln!(
-                "deepdive serve: WARNING: could not roll failed ingests off the WAL \
-                 ({re}); log poisoned until the next checkpoint flush"
-            );
-            let msg = "ingest not applied: WAL rewrite failed after a batch-mate's apply \
-                       failure; log poisoned until the next checkpoint flush";
-            for (req, ..) in applied {
-                let _ = req.reply.send(Response::error(500, msg));
-            }
-            for (req, e) in failed {
-                let _ = req
-                    .reply
-                    .send(Response::error(500, &format!("ingest not applied: {e}")));
-            }
-            return;
-        }
-        for (req, e) in failed {
-            let _ = req
-                .reply
-                .send(Response::error(500, &format!("ingest not applied: {e}")));
-        }
-    }
-    if applied.is_empty() {
-        return;
-    }
-
-    // One bounded refresh sized by the batch's summed grounding delta, one
-    // snapshot swap, one epoch advance per applied record (epoch stays in
-    // lockstep with the WAL seq, exactly as the inline path keeps it).
-    // Subscribers see the whole batch as one delta set.
-    let changed_total: usize = applied.iter().map(|(.., total)| *total).sum();
-    let opts = bounded_options(&state.inference, &state.refresh, changed_total);
-    let (epoch, fingerprint) = state.publish_epoch(&dd, applied.len() as u64, &opts, trace);
-    let next = wal.lock().next_seq();
-    state.replication.applied_seq.store(next, Ordering::SeqCst);
-    state.replication.observe_watermark(next);
+    let bodies: Vec<&[u8]> = batch.iter().map(|req| req.body.as_slice()).collect();
+    let commit = state.apply_records(&bodies, Origin::New);
     let (wal_records, wal_bytes) = state.wal_gauges();
-
-    for (req, inserted, delta_json, _) in applied {
-        let _ = req.reply.send(Response::json(
-            200,
-            &json!({
-                "epoch": epoch,
-                "fingerprint": format!("{fingerprint:016x}"),
-                "inserted": inserted,
-                "durable": true,
-                "wal_records": wal_records,
-                "wal_bytes": wal_bytes,
-                "delta": delta_json,
-                "refresh_samples": opts.samples,
-            }),
-        ));
+    for (req, outcome) in batch.into_iter().zip(commit.outcomes) {
+        let response = match outcome {
+            Ok(applied) => {
+                let published = commit
+                    .published
+                    .as_ref()
+                    .expect("an applied record implies a published epoch");
+                Response::json(
+                    200,
+                    &json!({
+                        "epoch": published.epoch,
+                        "fingerprint": format!("{:016x}", published.fingerprint),
+                        "inserted": applied.inserted,
+                        "durable": state.wal.is_some(),
+                        "wal_records": wal_records,
+                        "wal_bytes": wal_bytes,
+                        "delta": json!({
+                            "added_variables": applied.delta.added_variables,
+                            "removed_variables": applied.delta.removed_variables,
+                            "added_factors": applied.delta.added_factors,
+                            "removed_factors": applied.delta.removed_factors,
+                            "evidence_changes": applied.delta.evidence_changes,
+                            "total": applied.delta.total(),
+                        }),
+                        "refresh_samples": published.refresh_samples,
+                    }),
+                )
+            }
+            Err(Rejected::Invalid(why)) => Response::error(400, &why),
+            Err(why) => Response::error(500, &format!("ingest not applied: {why}")),
+        };
+        let _ = req.reply.send(response);
     }
 }
 
-/// Replay recovered WAL records through the same validate → DRed/IVM path a
-/// live `POST /documents` takes, then publish one snapshot swap sized by
-/// the shared [`RefreshBudget`]. Readers keep the pre-replay epoch until
-/// that swap; `/readyz` flips to 200 after it. A successful checkpoint
-/// flush then truncates the WAL.
+/// Replay the WAL records recovered at startup, then publish one snapshot
+/// swap. Readers keep the pre-replay epoch until that swap; `/readyz` flips
+/// to 200 after it. A successful checkpoint flush then truncates the WAL.
 pub(crate) fn replay_wal(state: &ServeState, records: Vec<Vec<u8>>) {
-    let stall = state.faults.trips(points::WAL_REPLAY_STALL);
-    let mut replayed = 0u64;
+    if state.faults.trips(points::WAL_REPLAY_STALL) {
+        // Deterministically widen the not-ready window so tests can
+        // observe readers during replay.
+        std::thread::sleep(Duration::from_millis(50) * records.len() as u32);
+    }
+    let bodies: Vec<&[u8]> = records.iter().map(Vec::as_slice).collect();
+    let commit = state.apply_records(&bodies, Origin::Logged);
     let mut skipped = 0u64;
-    let mut changed_total = 0usize;
-    let mut trace = IvmTrace::default();
-    {
-        let mut dd = state.writer.lock();
-        for (i, record) in records.iter().enumerate() {
-            if stall {
-                // Deterministically widen the not-ready window so tests can
-                // observe readers during replay.
-                std::thread::sleep(Duration::from_millis(50));
-            }
-            let changes = match parse_ingest_body(&dd, &state.derived, record) {
-                Ok(changes) => changes,
-                Err(resp) => {
-                    eprintln!(
-                        "deepdive serve: WARNING: WAL record {} failed validation and was \
-                         skipped: {}",
-                        i + 1,
-                        resp.body
-                    );
-                    skipped += 1;
-                    continue;
-                }
-            };
-            match dd.apply_base_changes_traced(changes) {
-                Ok((delta, result)) => {
-                    trace.absorb(&result);
-                    changed_total += delta.total();
-                    replayed += 1;
-                }
-                Err(e) => {
-                    eprintln!(
-                        "deepdive serve: WARNING: WAL record {} failed to apply and was \
-                         skipped: {e}",
-                        i + 1
-                    );
-                    skipped += 1;
-                }
-            }
-        }
-        // One bounded refresh over everything the replay re-grounded, one
-        // swap: concurrent readers see the pre-replay epoch, then this one.
-        // The epoch advances by the *applied* records only, matching the
-        // live path's one-epoch-per-successful-POST.
-        let opts = bounded_options(&state.inference, &state.refresh, changed_total);
-        state.publish_epoch(&dd, replayed, &opts, trace);
-        // Every pending record is now consumed (applied or skipped): the
-        // served state covers the whole local log.
-        if let Some(wal) = &state.wal {
-            let next = wal.lock().next_seq();
-            state.replication.applied_seq.store(next, Ordering::SeqCst);
-            state.replication.observe_watermark(next);
+    for (i, outcome) in commit.outcomes.iter().enumerate() {
+        if let Err(why) = outcome {
+            eprintln!(
+                "deepdive serve: WARNING: WAL record {} was skipped: {why}",
+                i + 1
+            );
+            skipped += 1;
         }
     }
+    let replayed = records.len() as u64 - skipped;
     {
         let mut stats = state.wal_stats.lock();
         stats.replayed_records = replayed;
@@ -444,85 +456,58 @@ fn json_to_value(cell: &Json, ty: ValueType) -> Result<DbValue, String> {
 }
 
 /// Validate one ingest body (`{"rows": {"Relation": [[cell, ...], ...]}}`)
-/// against the live schemas and convert it to base changes. Shared by the
-/// live `POST /documents` path and WAL replay — by construction, replay
-/// revalidates exactly what an ack validated.
+/// against the live schemas and convert it to base changes; the error is
+/// the message a client's 400 carries.
 fn parse_ingest_body(
     dd: &DeepDive,
     derived: &HashSet<String>,
     body: &[u8],
-) -> Result<Vec<BaseChange>, Response> {
-    let Ok(text) = std::str::from_utf8(body) else {
-        return Err(Response::error(400, "body is not UTF-8"));
-    };
-    let body: Json = match serde_json::from_str(text) {
-        Ok(v) => v,
-        Err(e) => return Err(Response::error(400, &format!("bad JSON: {e}"))),
-    };
-    let Some(rows) = body.get("rows").and_then(Json::as_object) else {
-        return Err(Response::error(
-            400,
-            "body must be {\"rows\": {relation: [[cell, ...], ...]}}",
-        ));
-    };
+) -> Result<Vec<BaseChange>, String> {
+    let text = std::str::from_utf8(body).map_err(|_| "body is not UTF-8")?;
+    let body: Json = serde_json::from_str(text).map_err(|e| format!("bad JSON: {e}"))?;
+    let rows = body
+        .get("rows")
+        .and_then(Json::as_object)
+        .ok_or("body must be {\"rows\": {relation: [[cell, ...], ...]}}")?;
 
     let mut changes: Vec<BaseChange> = Vec::new();
     for (relation, rel_rows) in rows.iter() {
         if derived.contains(relation) {
-            return Err(Response::error(
-                400,
-                &format!("`{relation}` is derived by rules; ingest base relations only"),
+            return Err(format!(
+                "`{relation}` is derived by rules; ingest base relations only"
             ));
         }
-        let schema = match dd.db.schema(relation) {
-            Ok(s) => s,
-            Err(_) => {
-                return Err(Response::error(
-                    400,
-                    &format!("unknown relation `{relation}`"),
-                ))
-            }
-        };
-        let Some(rel_rows) = rel_rows.as_array() else {
-            return Err(Response::error(
-                400,
-                &format!("`{relation}` must map to an array of rows"),
-            ));
-        };
+        let schema = dd
+            .db
+            .schema(relation)
+            .map_err(|_| format!("unknown relation `{relation}`"))?;
+        let rel_rows = rel_rows
+            .as_array()
+            .ok_or_else(|| format!("`{relation}` must map to an array of rows"))?;
         for (i, row_json) in rel_rows.iter().enumerate() {
-            let Some(cells) = row_json.as_array() else {
-                return Err(Response::error(
-                    400,
-                    &format!("{relation}[{i}]: row must be an array"),
-                ));
-            };
+            let cells = row_json
+                .as_array()
+                .ok_or_else(|| format!("{relation}[{i}]: row must be an array"))?;
             if cells.len() != schema.columns.len() {
-                return Err(Response::error(
-                    400,
-                    &format!(
-                        "{relation}[{i}]: {} cells for {} columns",
-                        cells.len(),
-                        schema.columns.len()
-                    ),
+                return Err(format!(
+                    "{relation}[{i}]: {} cells for {} columns",
+                    cells.len(),
+                    schema.columns.len()
                 ));
             }
-            let mut row = Vec::with_capacity(cells.len());
-            for (cell, col) in cells.iter().zip(&schema.columns) {
-                match json_to_value(cell, col.ty) {
-                    Ok(v) => row.push(v),
-                    Err(e) => {
-                        return Err(Response::error(
-                            400,
-                            &format!("{relation}[{i}].{}: {e}", col.name),
-                        ))
-                    }
-                }
-            }
+            let row = cells
+                .iter()
+                .zip(&schema.columns)
+                .map(|(cell, col)| {
+                    json_to_value(cell, col.ty)
+                        .map_err(|e| format!("{relation}[{i}].{}: {e}", col.name))
+                })
+                .collect::<Result<Vec<_>, _>>()?;
             changes.push(BaseChange::insert(relation.clone(), row.into_boxed_slice()));
         }
     }
     if changes.is_empty() {
-        return Err(Response::error(400, "no rows to ingest"));
+        return Err("no rows to ingest".into());
     }
     Ok(changes)
 }
@@ -532,17 +517,12 @@ fn parse_ingest_body(
 /// Ack semantics: a 200 means the body is fsync'd in the WAL *and* applied
 /// to the served state — it survives `kill -9` from that point on. Any
 /// non-200 means the ingest left no durable trace.
+///
+/// The handler only gates and enqueues: the committer thread owns the
+/// commit, and this worker parks until its record's batch is decided.
 pub(crate) fn post_documents(req: &Request, state: &ServeState) -> Response {
-    match state.lifecycle() {
-        Lifecycle::Ready => {}
-        Lifecycle::Replaying => {
-            return Response::error(503, "not ready: WAL replay in progress")
-                .with_retry_after(jittered_retry_secs(1));
-        }
-        Lifecycle::Draining => {
-            return Response::error(503, "draining for shutdown")
-                .with_retry_after(jittered_retry_secs(1));
-        }
+    if let Some(not_ready) = state.not_ready_response() {
+        return not_ready;
     }
     if let Some(why) = state.write_block_reason() {
         // Fenced (a newer primary exists), corrupt (scrub found rot it
@@ -558,113 +538,22 @@ pub(crate) fn post_documents(req: &Request, state: &ServeState) -> Response {
         }
     }
 
-    // Group commit: hand the body to the committer and park until this
-    // record's batch fsyncs and applies — the response carries the same
-    // promise as the inline path below, amortized over the batch. Falls
-    // through to the inline path when no committer runs (no WAL, zero
-    // linger, a follower) or the channel is already torn down by shutdown.
-    let committer = state.committer.lock().clone();
-    if let Some(tx) = committer {
-        let (reply_tx, reply_rx) = mpsc::channel();
-        let sent = tx
-            .send(CommitRequest {
-                body: req.body.clone(),
-                reply: reply_tx,
-            })
-            .is_ok();
-        if sent {
-            return match reply_rx.recv() {
-                Ok(resp) => resp,
-                Err(_) => Response::error(500, "ingest not applied: committer exited mid-batch"),
-            };
-        }
-    }
-
-    // Single writer: everything from validation through the WAL append to
-    // the snapshot swap happens under this lock, so concurrent POSTs
-    // serialize (and the WAL orders records exactly as they were applied)
-    // and readers keep the previous epoch until `store`.
-    let mut dd = state.writer.lock();
-
-    let changes = match parse_ingest_body(&dd, &state.derived, &req.body) {
-        Ok(changes) => changes,
-        Err(resp) => return resp,
+    let (reply, decided) = mpsc::channel();
+    let request = CommitRequest {
+        body: req.body.clone(),
+        reply,
     };
-    let inserted = changes.len();
-
-    // Durability first: the record must be fsync'd before anything is
-    // applied or acknowledged. A failed append acknowledges nothing.
-    let wal_before = state.wal.as_ref().map(|wal| wal.lock().mark());
-    let mut appended_seq = None;
-    if let Some(wal) = &state.wal {
-        match wal.lock().append(&req.body) {
-            Ok(seq) => appended_seq = Some(seq),
-            Err(e) => {
-                state.note_storage_error(&e, "WAL append");
-                return Response::error(
-                    500,
-                    &format!("ingest not applied: WAL append failed: {e}"),
-                );
-            }
-        }
+    let queued = state
+        .committer
+        .lock()
+        .as_ref()
+        .is_some_and(|tx| tx.send(request).is_ok());
+    if !queued {
+        // Shutdown already tore the committer down.
+        return Response::error(503, "ingest not applied: the committer has shut down")
+            .with_retry_after(jittered_retry_secs(1));
     }
-
-    // DRed/IVM: derive exactly what the new rows imply, nothing else.
-    let (delta, ivm_result) = match dd.apply_base_changes_traced(changes) {
-        Ok(d) => d,
-        Err(e) => {
-            // The 500 promises "no durable trace", so the just-appended
-            // record must come back off the log — otherwise a restart would
-            // replay (and possibly apply) an ingest the client was told
-            // failed. The writer lock is still held, so nothing appended
-            // after our record. A failed cut poisons the log, refusing
-            // appends until a checkpoint flush truncates it.
-            if let (Some(wal), Some(mark)) = (&state.wal, wal_before) {
-                if let Err(re) = wal.lock().rollback_to(&mark) {
-                    eprintln!(
-                        "deepdive serve: WARNING: could not roll failed ingest off the WAL \
-                         ({re}); log poisoned until the next checkpoint flush"
-                    );
-                }
-            }
-            return Response::error(500, &format!("ingest not applied: {e}"));
-        }
-    };
-
-    // Bounded refresh sized to the touched region, then one atomic swap.
-    let opts = bounded_options(&state.inference, &state.refresh, delta.total());
-    let mut trace = IvmTrace::default();
-    trace.absorb(&ivm_result);
-    let (epoch, fingerprint) = state.publish_epoch(&dd, 1, &opts, trace);
-    if let Some(seq) = appended_seq {
-        // Keep the primary's replication books current so `/metrics`
-        // reports the same offsets followers resume from.
-        state
-            .replication
-            .applied_seq
-            .store(seq + 1, Ordering::SeqCst);
-        state.replication.observe_watermark(seq + 1);
-    }
-    let (wal_records, wal_bytes) = state.wal_gauges();
-
-    Response::json(
-        200,
-        &json!({
-            "epoch": epoch,
-            "fingerprint": format!("{:016x}", fingerprint),
-            "inserted": inserted,
-            "durable": state.wal.is_some(),
-            "wal_records": wal_records,
-            "wal_bytes": wal_bytes,
-            "delta": json!({
-                "added_variables": delta.added_variables,
-                "removed_variables": delta.removed_variables,
-                "added_factors": delta.added_factors,
-                "removed_factors": delta.removed_factors,
-                "evidence_changes": delta.evidence_changes,
-                "total": delta.total(),
-            }),
-            "refresh_samples": opts.samples,
-        }),
-    )
+    decided
+        .recv()
+        .unwrap_or_else(|_| Response::error(500, "ingest not applied: committer exited mid-batch"))
 }

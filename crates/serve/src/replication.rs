@@ -35,6 +35,7 @@
 //!   catches back up.
 
 use crate::http::Response;
+use crate::ingest::{Origin, Rejected};
 use crate::server::{Lifecycle, ServeState};
 use crate::wal::frame::{self, FrameDecoder, FrameError};
 use deepdive_core::checkpoint::fnv1a64;
@@ -198,7 +199,7 @@ pub(crate) fn serve_wal_stream(
     sock: &mut TcpStream,
     state: &ServeState,
 ) -> bool {
-    let Some(wal) = state.wal_handle() else {
+    let Some(wal) = &state.wal else {
         let _ = Response::error(
             404,
             "replication requires a WAL; start this node with --wal-dir",
@@ -306,11 +307,14 @@ pub(crate) fn serve_wal_stream(
         return false;
     }
 
-    let window = state.stream_window();
+    let window = state.stream_window;
     let mut pos = from;
     let mut last_send = Instant::now();
     loop {
-        if state.stop_requested() || state.lifecycle() == Lifecycle::Draining || state.fenced() {
+        if state.stop_requested()
+            || state.lifecycle() == Lifecycle::Draining
+            || state.fenced.lock().is_some()
+        {
             // Clean end-of-stream: the follower reconnects (with backoff)
             // and finds the restarted primary, or its successor. A fenced
             // node must stop shipping frames from its dead term.
@@ -320,7 +324,7 @@ pub(crate) fn serve_wal_stream(
         let batch = { wal.lock().read_frames(pos, window) };
         match batch {
             Ok((bytes, end)) if !bytes.is_empty() => {
-                if state.faults_ref().trips(points::REPL_STREAM_CUT) {
+                if state.faults.trips(points::REPL_STREAM_CUT) {
                     // Ship a torn prefix of the batch and hang up: the
                     // follower's decoder must refuse the partial frame and
                     // resume from its durable offset.
@@ -459,7 +463,8 @@ fn transient(e: impl std::fmt::Display) -> TailError {
 /// stream cleanly (drain); errors say whether to reconnect or give up.
 fn tail_once(state: &ServeState, primary: &str) -> Result<(), TailError> {
     let wal = state
-        .wal_handle()
+        .wal
+        .as_ref()
         .expect("follower mode requires a WAL (checked at construction)");
     let (my_stream, from, my_term) = {
         let w = wal.lock();
@@ -626,22 +631,36 @@ fn tail_once(state: &ServeState, primary: &str) -> Result<(), TailError> {
     }
 }
 
-/// Durably append one replicated record, then apply it. Apply failures are
-/// divergence (the primary applied this record; a follower that cannot is
-/// no longer a replica); append failures are local-disk transients.
+/// Durably append one replicated record and apply it, through the same
+/// commit path a live `POST /documents` takes — which is what makes a
+/// caught-up follower's marginals bit-identical to the primary's. A record
+/// that cannot apply is divergence (the primary applied it; a follower that
+/// cannot is no longer a replica); an append failure is a local-disk
+/// transient, and the resume offset never moves over an un-fsync'd record.
 fn apply_one(state: &ServeState, payload: &[u8]) -> Result<(), TailError> {
-    if state.faults_ref().trips(points::REPL_APPLY_STALL) {
+    if state.faults.trips(points::REPL_APPLY_STALL) {
         std::thread::sleep(Duration::from_millis(50));
     }
-    match state.ingest_replicated(payload) {
-        Ok(()) => Ok(()),
-        Err(e) if e.kind() == io::ErrorKind::InvalidData => Err(TailError::Fatal(
-            true,
-            format!("replicated record failed to apply locally: {e}"),
-        )),
-        Err(e) => Err(transient(format!(
+    let mut commit = state.apply_records(&[payload], Origin::New);
+    match commit
+        .outcomes
+        .pop()
+        .expect("one record in, one outcome out")
+    {
+        Ok(_) => {
+            state
+                .replication()
+                .records_applied
+                .fetch_add(1, Ordering::SeqCst);
+            Ok(())
+        }
+        Err(Rejected::Wal(e)) => Err(transient(format!(
             "could not persist replicated record: {e}"
         ))),
+        Err(why) => Err(TailError::Fatal(
+            true,
+            format!("replicated record failed to apply locally: {why}"),
+        )),
     }
 }
 

@@ -1,18 +1,17 @@
-//! The daemon: a thread-pooled TCP accept loop routing requests against the
-//! current [`ServeSnapshot`], plus the single-writer ingest path.
+//! The daemon: configuration, shared state, lifecycle, and a thread-pooled
+//! TCP accept loop routing requests against the current [`ServeSnapshot`].
+//! The write path lives in `ingest.rs`, read handlers in `handlers.rs`,
+//! promote/checkpoint/scrub in `admin.rs`.
 //!
 //! Ownership layout:
 //!
 //! * Readers (`GET /relations`, `/marginals`, `/healthz`, `/readyz`,
 //!   `/metrics`) touch only the snapshot cell and atomics — they never take
 //!   the writer lock, so queries stay fast while an ingest is re-grounding.
-//! * `POST /documents` serializes through `Mutex<DeepDive>`: append the
-//!   validated body to the write-ahead log (fsync'd — the ack promises
-//!   durability), route the new rows through incremental view maintenance
-//!   and DRed (§4.1) so only the touched region re-grounds, run a bounded
-//!   Gibbs refresh sized to the grounding delta (§4.2), then publish the
-//!   next epoch with one pointer swap. A concurrent reader sees epoch N or
-//!   N+1, never a mixture.
+//! * `POST /documents` only gates and enqueues; the committer thread
+//!   serializes every write through `Mutex<DeepDive>` (see
+//!   `ServeState::apply_records`) and publishes the next epoch with one
+//!   pointer swap. A concurrent reader sees epoch N or N+1, never a mixture.
 //!
 //! Robustness posture (crash + overload):
 //!
@@ -37,7 +36,7 @@
 //!   with 405. See [`crate::replication`] for the protocol.
 
 use crate::admin::{
-    flusher_loop, get_checkpoint_bundle, post_promote, read_wal_position, scrubber_loop,
+    flush_tick, get_checkpoint_bundle, post_promote, read_wal_position, run_every, scrub_once,
 };
 use crate::handlers::{
     get_marginals, get_relation, healthz, metrics, poll_subscription, post_subscriptions, readyz,
@@ -118,9 +117,9 @@ pub struct ServeConfig {
     pub wal_retain: u64,
     /// Group-commit linger window: how long the committer thread collects
     /// concurrent `POST /documents` bodies before fsyncing them as one WAL
-    /// batch. `Duration::ZERO` disables group commit entirely (every
-    /// request pays its own fsync — the pre-batching behavior, and the
-    /// bench baseline).
+    /// batch. `Duration::ZERO` means no wait: the committer takes what is
+    /// queued at that instant, so every request is a batch of one with its
+    /// own fsync.
     pub linger: Duration,
     /// WAL segment rotation threshold: a segment that reaches this many
     /// payload bytes is sealed and a new one started. Compaction later
@@ -272,10 +271,9 @@ pub struct ServeState {
     pub(crate) wal_stats: Mutex<WalStats>,
     pub(crate) wal_dir: Option<PathBuf>,
     pub(crate) checkpoint_dir: Option<PathBuf>,
-    /// Group-commit ingress: workers send [`CommitRequest`]s here and park
-    /// on the reply. `None` until the committer thread spawns (and again
-    /// once shutdown tears it down — senders observing a closed channel
-    /// fall back to the inline single-request path).
+    /// Commit ingress: workers send [`CommitRequest`]s here and park on
+    /// the reply. `None` before [`Server::start`] and again once shutdown
+    /// tears the committer down (a late `POST /documents` answers 503).
     pub(crate) committer: Mutex<Option<mpsc::Sender<CommitRequest>>>,
     /// Group-commit linger window (the committer's batching horizon).
     pub(crate) linger: Duration,
@@ -346,6 +344,17 @@ impl ServeState {
 
     fn set_lifecycle(&self, l: Lifecycle) {
         self.lifecycle.store(l.as_u8(), Ordering::SeqCst);
+    }
+
+    /// The 503 that endpoints accepting new work (`POST /documents`,
+    /// `POST /subscriptions`) answer outside `Ready`.
+    pub(crate) fn not_ready_response(&self) -> Option<Response> {
+        let why = match self.lifecycle() {
+            Lifecycle::Ready => return None,
+            Lifecycle::Replaying => "not ready: WAL replay in progress",
+            Lifecycle::Draining => "draining for shutdown",
+        };
+        Some(Response::error(503, why).with_retry_after(jittered_retry_secs(1)))
     }
 
     /// Atomically transition `from` → `to`; false when the state had
@@ -424,10 +433,6 @@ impl ServeState {
         }
     }
 
-    pub(crate) fn fenced(&self) -> bool {
-        self.fenced.lock().is_some()
-    }
-
     pub fn fenced_reason(&self) -> Option<String> {
         self.fenced.lock().clone()
     }
@@ -484,10 +489,6 @@ impl ServeState {
             .or_else(|| self.storage_fatal_error())
     }
 
-    pub(crate) fn checkpoint_dir(&self) -> Option<&std::path::Path> {
-        self.checkpoint_dir.as_deref()
-    }
-
     /// Replication books (`/metrics`, `/readyz`, the CLI's divergence exit).
     pub fn replication(&self) -> &ReplicationStats {
         &self.replication
@@ -498,24 +499,8 @@ impl ServeState {
         &self.subs
     }
 
-    pub(crate) fn wal_handle(&self) -> Option<&Mutex<Wal>> {
-        self.wal.as_ref()
-    }
-
     pub(crate) fn stop_requested(&self) -> bool {
         self.stopping.load(Ordering::SeqCst)
-    }
-
-    pub(crate) fn faults_ref(&self) -> &FaultInjector {
-        &self.faults
-    }
-
-    pub(crate) fn stream_window(&self) -> usize {
-        self.stream_window
-    }
-
-    pub(crate) fn max_lag_epochs(&self) -> u64 {
-        self.max_lag_epochs
     }
 }
 
@@ -773,19 +758,16 @@ impl Server {
             std::thread::spawn(move || replication::run_follower(state, primary))
         });
 
-        // Group committer: the single consumer that turns concurrent POSTs
-        // into one WAL fsync per linger window. Only a primary with a WAL
-        // and a nonzero linger gets one; otherwise `POST /documents` stays
-        // on the inline one-fsync-per-request path.
-        let committer = (!self.state.is_follower()
-            && self.state.wal.is_some()
-            && self.state.linger > Duration::ZERO)
-            .then(|| {
-                let (commit_tx, commit_rx) = mpsc::channel::<CommitRequest>();
-                *self.state.committer.lock() = Some(commit_tx);
-                let state = self.state.clone();
-                std::thread::spawn(move || committer_loop(&state, &commit_rx))
-            });
+        // The committer: the single consumer every `POST /documents` goes
+        // through, turning concurrent POSTs into one WAL fsync per linger
+        // window. Every node runs one — a follower's sits idle (its route
+        // answers 405) until `POST /promote` makes it the primary.
+        let (commit_tx, commit_rx) = mpsc::channel::<CommitRequest>();
+        *self.state.committer.lock() = Some(commit_tx);
+        let committer = {
+            let state = self.state.clone();
+            std::thread::spawn(move || committer_loop(&state, &commit_rx))
+        };
 
         // Background flusher: periodic incremental checkpoint + WAL
         // compaction, off the committer thread so neither ever holds up an
@@ -799,7 +781,7 @@ impl Server {
             .then(|| {
                 let state = self.state.clone();
                 let interval = self.flush_interval;
-                std::thread::spawn(move || flusher_loop(&state, interval))
+                std::thread::spawn(move || run_every(&state, interval, flush_tick))
             });
 
         // Anti-entropy scrubber: re-verify WAL frame checksums and the
@@ -807,7 +789,7 @@ impl Server {
         let scrubber = (self.scrub_interval > Duration::ZERO).then(|| {
             let state = self.state.clone();
             let interval = self.scrub_interval;
-            std::thread::spawn(move || scrubber_loop(&state, interval))
+            std::thread::spawn(move || run_every(&state, interval, scrub_once))
         });
 
         Ok(ServerHandle {
@@ -818,7 +800,7 @@ impl Server {
             accept: Some(accept),
             replay,
             tailer,
-            committer,
+            committer: Some(committer),
             flusher,
             scrubber,
             drain: self.drain,
@@ -922,18 +904,13 @@ impl ServerHandle {
         // bodies the same way once the registry closes and wakes them.
         self.state.stopping.store(true, Ordering::SeqCst);
         self.state.subs.close_all();
-        if let Some(tailer) = self.tailer.take() {
-            let _ = tailer.join();
-        }
         // Let the replay finish first — it holds the writer lock and is
-        // finite; the final checkpoint needs its result anyway.
-        if let Some(replay) = self.replay.take() {
-            let _ = replay.join();
-        }
+        // finite; the final checkpoint needs its result anyway. The accept
+        // loop stays up meanwhile so new connections get a 503, not a
+        // refused connect.
+        join_all([self.tailer.take(), self.replay.take()]);
         self.shutdown.store(true, Ordering::SeqCst);
-        if let Some(accept) = self.accept.take() {
-            let _ = accept.join();
-        }
+        join_all([self.accept.take()]);
 
         // Drain: wait for admitted connections to finish, bounded by the
         // drain budget (socket deadlines bound each one individually).
@@ -942,37 +919,13 @@ impl ServerHandle {
             std::thread::sleep(Duration::from_millis(10));
         }
         let stragglers = self.state.queue_depth();
-        if stragglers == 0 {
-            // The accept loop dropped the sender; workers drain the queue
-            // and exit.
-            for t in self.workers.drain(..) {
-                let _ = t.join();
-            }
-        } else {
+        if stragglers > 0 {
             eprintln!(
                 "deepdive serve: drain budget expired with {stragglers} request(s) still \
                  in flight; detaching workers"
             );
-            self.workers.clear();
         }
-
-        // The committer outlives the workers — an in-flight POST may be
-        // parked on its reply channel. Once they are gone, dropping the
-        // stored sender disconnects the channel and the committer exits
-        // after draining anything still queued. A detached straggler may
-        // hold a sender clone, so only join when the drain was clean.
-        *self.state.committer.lock() = None;
-        if let Some(committer) = self.committer.take() {
-            if stragglers == 0 {
-                let _ = committer.join();
-            }
-        }
-        if let Some(flusher) = self.flusher.take() {
-            let _ = flusher.join();
-        }
-        if let Some(scrubber) = self.scrubber.take() {
-            let _ = scrubber.join();
-        }
+        self.join_threads(stragglers == 0);
 
         let checkpoint_flushed = match self.state.flush_checkpoint() {
             Ok(()) => true,
@@ -1007,28 +960,7 @@ impl ServerHandle {
         self.shutdown.store(true, Ordering::SeqCst);
         self.state.stopping.store(true, Ordering::SeqCst);
         self.state.subs.close_all();
-        if let Some(tailer) = self.tailer.take() {
-            let _ = tailer.join();
-        }
-        if let Some(accept) = self.accept.take() {
-            let _ = accept.join();
-        }
-        if let Some(replay) = self.replay.take() {
-            let _ = replay.join();
-        }
-        for t in self.workers.drain(..) {
-            let _ = t.join();
-        }
-        *self.state.committer.lock() = None;
-        if let Some(committer) = self.committer.take() {
-            let _ = committer.join();
-        }
-        if let Some(flusher) = self.flusher.take() {
-            let _ = flusher.join();
-        }
-        if let Some(scrubber) = self.scrubber.take() {
-            let _ = scrubber.join();
-        }
+        self.join_threads(true);
     }
 
     /// Serve until `stop` flips true (the CLI sets it from SIGTERM/SIGINT),
@@ -1050,28 +982,32 @@ impl ServerHandle {
 
     /// Block until every serving thread exits (a daemon that runs forever).
     pub fn join(mut self) {
-        if let Some(replay) = self.replay.take() {
-            let _ = replay.join();
-        }
-        if let Some(tailer) = self.tailer.take() {
-            let _ = tailer.join();
-        }
-        if let Some(accept) = self.accept.take() {
-            let _ = accept.join();
-        }
-        for t in self.workers.drain(..) {
-            let _ = t.join();
+        self.join_threads(true);
+    }
+
+    /// Join every thread still held, in dependency order. The committer
+    /// outlives the workers — an in-flight POST may be parked on its reply
+    /// channel — so it goes after them: dropping the stored sender
+    /// disconnects the channel and the committer exits once it has drained
+    /// anything still queued. With `workers_done == false` (a drain that
+    /// left stragglers) the workers are detached instead, and so is the
+    /// committer a straggler may still be waiting on.
+    fn join_threads(&mut self, workers_done: bool) {
+        join_all([self.tailer.take(), self.replay.take(), self.accept.take()]);
+        if workers_done {
+            join_all(self.workers.drain(..).map(Some));
+        } else {
+            self.workers.clear();
         }
         *self.state.committer.lock() = None;
-        if let Some(committer) = self.committer.take() {
-            let _ = committer.join();
-        }
-        if let Some(flusher) = self.flusher.take() {
-            let _ = flusher.join();
-        }
-        if let Some(scrubber) = self.scrubber.take() {
-            let _ = scrubber.join();
-        }
+        let committer = self.committer.take().filter(|_| workers_done);
+        join_all([committer, self.flusher.take(), self.scrubber.take()]);
+    }
+}
+
+fn join_all(threads: impl IntoIterator<Item = Option<JoinHandle<()>>>) {
+    for t in threads.into_iter().flatten() {
+        let _ = t.join();
     }
 }
 
@@ -1168,31 +1104,19 @@ fn route(req: &Request, state: &ServeState) -> (&'static str, Response) {
                 405,
                 "this node is a read-only replica; POST /documents to the primary",
             )
-            .with_header("Allow", "GET, HEAD")
+            .with_header("Allow", "GET")
             .with_header("X-DD-Primary", state.follow.clone().unwrap_or_default()),
         ),
         ("POST", "/documents") => ("documents", post_documents(req, state)),
         ("POST", "/promote") => ("promote", post_promote(req, state)),
-        (_, "/promote") => (
-            "other",
-            Response::error(405, "use POST").with_header("Allow", "POST"),
-        ),
         ("GET", "/checkpoint") => ("checkpoint", get_checkpoint_bundle(state)),
-        (_, "/checkpoint") => (
-            "other",
-            Response::error(405, "use GET").with_header("Allow", "GET"),
-        ),
-        (_, "/healthz" | "/readyz" | "/metrics") => (
-            "other",
-            Response::error(405, "use GET").with_header("Allow", "GET"),
-        ),
-        (_, "/documents") => (
+        (_, "/promote" | "/documents") => (
             "other",
             Response::error(405, "use POST").with_header("Allow", "POST"),
         ),
         // `GET /wal` is intercepted in `handle_connection` (it streams);
         // any other method on it lands here.
-        (_, "/wal") => (
+        (_, "/checkpoint" | "/healthz" | "/readyz" | "/metrics" | "/wal") => (
             "other",
             Response::error(405, "use GET").with_header("Allow", "GET"),
         ),

@@ -2,117 +2,19 @@
 //! consistency under concurrent reads and writes, and batch/incremental
 //! parity for derived relations.
 
+mod common;
+
+use common::{batch_relation, get, http, ingest_body, served_relation, spouse_app_config};
 use deepdive_core::apps::{SpouseApp, SpouseAppConfig};
-use deepdive_core::RunConfig;
-use deepdive_corpus::SpouseConfig;
-use deepdive_sampler::{GibbsOptions, LearnOptions};
 use deepdive_serve::{ServeConfig, Server};
-use deepdive_storage::{BaseChange, Value};
-use serde_json::{json, Value as Json};
-use std::collections::{BTreeMap, BTreeSet, HashMap};
-use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpStream};
+use deepdive_storage::BaseChange;
+use serde_json::Value as Json;
+use std::collections::{BTreeSet, HashMap};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 fn app_config() -> SpouseAppConfig {
-    SpouseAppConfig {
-        corpus: SpouseConfig {
-            num_docs: 16,
-            num_people: 12,
-            num_married_pairs: 4,
-            num_sibling_pairs: 4,
-            ..Default::default()
-        },
-        run: RunConfig {
-            learn: LearnOptions {
-                epochs: 30,
-                ..Default::default()
-            },
-            inference: GibbsOptions {
-                burn_in: 20,
-                samples: 200,
-                clamp_evidence: true,
-                ..Default::default()
-            },
-            threads: 1,
-            ..Default::default()
-        },
-        ..Default::default()
-    }
-}
-
-/// Minimal HTTP/1.1 client: one request, `Connection: close`, JSON out.
-fn http(addr: SocketAddr, method: &str, path: &str, body: Option<&Json>) -> (u16, Json) {
-    let mut stream = TcpStream::connect(addr).expect("connect to daemon");
-    let body_text = body
-        .map(|b| serde_json::to_string(b).expect("serializable body"))
-        .unwrap_or_default();
-    write!(
-        stream,
-        "{method} {path} HTTP/1.1\r\nHost: test\r\nContent-Length: {}\r\n\r\n{}",
-        body_text.len(),
-        body_text
-    )
-    .expect("send request");
-    let mut raw = String::new();
-    stream.read_to_string(&mut raw).expect("read response");
-    let status: u16 = raw
-        .split_whitespace()
-        .nth(1)
-        .expect("status line")
-        .parse()
-        .expect("numeric status");
-    let payload = raw.split("\r\n\r\n").nth(1).unwrap_or("");
-    let value = serde_json::from_str(payload).unwrap_or(Json::Null);
-    (status, value)
-}
-
-fn get(addr: SocketAddr, path: &str) -> (u16, Json) {
-    http(addr, "GET", path, None)
-}
-
-/// Render one storage value as the JSON cell the POST body format takes.
-fn value_to_cell(v: &Value) -> Json {
-    match v {
-        Value::Null => Json::Null,
-        Value::Bool(b) => json!(*b),
-        Value::Int(i) => json!(*i),
-        Value::Float(f) => json!(*f),
-        Value::Text(t) => json!(t.as_ref()),
-        Value::Id(id) => json!(*id),
-    }
-}
-
-/// Group base changes into the `{"rows": {relation: [[cell, ...], ...]}}`
-/// ingest body.
-fn ingest_body(changes: &[BaseChange]) -> Json {
-    let mut by_relation: BTreeMap<String, Vec<Json>> = BTreeMap::new();
-    for ch in changes {
-        let cells: Vec<Json> = ch.row.iter().map(value_to_cell).collect();
-        by_relation
-            .entry(ch.relation.clone())
-            .or_default()
-            .push(Json::Array(cells));
-    }
-    let mut rows = serde_json::Map::new();
-    for (relation, rel_rows) in by_relation {
-        rows.insert(relation, Json::Array(rel_rows));
-    }
-    json!({ "rows": Json::Object(rows) })
-}
-
-/// Canonical form of a relation as served: sorted `row -> count` pairs
-/// rendered from the endpoint's JSON rows.
-fn served_relation(addr: SocketAddr, name: &str) -> BTreeSet<String> {
-    let (status, v) = get(addr, &format!("/relations/{name}?limit=100000"));
-    assert_eq!(status, 200, "GET /relations/{name}: {v}");
-    v.get("rows")
-        .and_then(Json::as_array)
-        .expect("rows array")
-        .iter()
-        .map(|row| serde_json::to_string(row).unwrap())
-        .collect()
+    spouse_app_config(16, 12)
 }
 
 /// Readers hammering `/marginals` during concurrent `/documents` posts must
@@ -253,22 +155,7 @@ fn incremental_ingest_matches_full_batch_derived_relations() {
     // Derived relations reached through DRed/IVM must match the batch run's.
     for relation in ["MarriedCandidate", "MarriedMentions_Ev"] {
         let served = served_relation(addr, relation);
-        let batch: BTreeSet<String> = batch_app
-            .dd
-            .db
-            .rows_counted(relation)
-            .expect("batch relation")
-            .iter()
-            .map(|(row, count)| {
-                let mut obj = serde_json::Map::new();
-                let schema = batch_app.dd.db.schema(relation).unwrap();
-                for (i, v) in row.iter().enumerate() {
-                    obj.insert(schema.columns[i].name.clone(), value_to_cell(v));
-                }
-                obj.insert("count".into(), json!(*count));
-                serde_json::to_string(&Json::Object(obj)).unwrap()
-            })
-            .collect();
+        let batch = batch_relation(&batch_app.dd, relation);
         assert_eq!(
             served, batch,
             "derived relation {relation} diverged between incremental and batch"

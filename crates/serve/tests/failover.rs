@@ -9,192 +9,24 @@
 //! `kill -9` leaves. The CI failover-smoke job replays the promote story
 //! against the real binary with real signals.
 
+mod common;
+
+use common::{
+    get, http, http_raw, ingest_body, marginal_rows, replication_metrics, restored_dd,
+    served_relation, spawn_pair, spouse_app_config, tmpdir, wait_epoch, wait_for, wait_ready,
+};
 use deepdive_core::apps::{SpouseApp, SpouseAppConfig};
 use deepdive_core::faults::points;
-use deepdive_core::{Checkpoint, FaultInjector, RunConfig};
-use deepdive_corpus::spouse::SpouseCorpus;
-use deepdive_corpus::SpouseConfig;
-use deepdive_sampler::{GibbsOptions, LearnOptions};
+use deepdive_core::{Checkpoint, FaultInjector};
 use deepdive_serve::{ServeConfig, Server, ServerHandle};
-use deepdive_storage::{BaseChange, Value};
 use serde_json::{json, Value as Json};
-use std::collections::{BTreeMap, BTreeSet};
-use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpStream};
+use std::net::SocketAddr;
 use std::path::PathBuf;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 fn tiny_config() -> SpouseAppConfig {
-    SpouseAppConfig {
-        corpus: SpouseConfig {
-            num_docs: 8,
-            num_people: 8,
-            num_married_pairs: 4,
-            num_sibling_pairs: 4,
-            ..Default::default()
-        },
-        run: RunConfig {
-            learn: LearnOptions {
-                epochs: 30,
-                ..Default::default()
-            },
-            inference: GibbsOptions {
-                burn_in: 20,
-                samples: 200,
-                clamp_evidence: true,
-                ..Default::default()
-            },
-            threads: 1,
-            ..Default::default()
-        },
-        ..Default::default()
-    }
-}
-
-fn tmpdir(tag: &str) -> PathBuf {
-    let d = std::env::temp_dir().join(format!("dd-fo-{tag}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&d);
-    std::fs::create_dir_all(&d).expect("create tmpdir");
-    d
-}
-
-fn http(addr: SocketAddr, method: &str, path: &str, body: Option<&Json>) -> (u16, Json) {
-    let (status, raw) = http_raw(addr, method, path, body);
-    let payload = raw.split("\r\n\r\n").nth(1).unwrap_or("");
-    (status, serde_json::from_str(payload).unwrap_or(Json::Null))
-}
-
-/// Like [`http`] but returns the whole raw response, for endpoints whose
-/// bodies are not JSON (or whose error text matters).
-fn http_raw(addr: SocketAddr, method: &str, path: &str, body: Option<&Json>) -> (u16, String) {
-    let mut stream = TcpStream::connect(addr).expect("connect to daemon");
-    let body_text = body
-        .map(|b| serde_json::to_string(b).expect("serializable body"))
-        .unwrap_or_default();
-    write!(
-        stream,
-        "{method} {path} HTTP/1.1\r\nHost: test\r\nContent-Length: {}\r\n\r\n{}",
-        body_text.len(),
-        body_text
-    )
-    .expect("send request");
-    let mut raw = String::new();
-    stream.read_to_string(&mut raw).expect("read response");
-    let status: u16 = raw
-        .split_whitespace()
-        .nth(1)
-        .expect("status line")
-        .parse()
-        .expect("numeric status");
-    (status, raw)
-}
-
-fn get(addr: SocketAddr, path: &str) -> (u16, Json) {
-    http(addr, "GET", path, None)
-}
-
-fn wait_ready(addr: SocketAddr) {
-    let deadline = Instant::now() + Duration::from_secs(120);
-    loop {
-        let (status, _) = get(addr, "/readyz");
-        if status == 200 {
-            return;
-        }
-        assert!(Instant::now() < deadline, "server never became ready");
-        std::thread::sleep(Duration::from_millis(20));
-    }
-}
-
-fn wait_epoch(addr: SocketAddr, epoch: u64) {
-    let deadline = Instant::now() + Duration::from_secs(120);
-    loop {
-        let (status, v) = get(addr, "/healthz");
-        assert_eq!(status, 200, "healthz while waiting for epoch: {v}");
-        if v.get("epoch").and_then(Json::as_u64) >= Some(epoch) {
-            return;
-        }
-        assert!(
-            Instant::now() < deadline,
-            "never reached epoch {epoch}: {v}"
-        );
-        std::thread::sleep(Duration::from_millis(20));
-    }
-}
-
-/// Poll until `probe` returns true, with a generous deadline.
-fn wait_for(what: &str, mut probe: impl FnMut() -> bool) {
-    let deadline = Instant::now() + Duration::from_secs(120);
-    while !probe() {
-        assert!(Instant::now() < deadline, "timed out waiting for {what}");
-        std::thread::sleep(Duration::from_millis(20));
-    }
-}
-
-fn replication_metrics(addr: SocketAddr) -> Json {
-    let (status, v) = get(addr, "/metrics");
-    assert_eq!(status, 200, "GET /metrics: {v}");
-    v.get("replication").cloned().expect("replication section")
-}
-
-fn value_to_cell(v: &Value) -> Json {
-    match v {
-        Value::Null => Json::Null,
-        Value::Bool(b) => json!(*b),
-        Value::Int(i) => json!(*i),
-        Value::Float(f) => json!(*f),
-        Value::Text(t) => json!(t.as_ref()),
-        Value::Id(id) => json!(*id),
-    }
-}
-
-fn ingest_body(changes: &[BaseChange]) -> Json {
-    let mut by_relation: BTreeMap<String, Vec<Json>> = BTreeMap::new();
-    for ch in changes {
-        let cells: Vec<Json> = ch.row.iter().map(value_to_cell).collect();
-        by_relation
-            .entry(ch.relation.clone())
-            .or_default()
-            .push(Json::Array(cells));
-    }
-    let mut rows = serde_json::Map::new();
-    for (relation, rel_rows) in by_relation {
-        rows.insert(relation, Json::Array(rel_rows));
-    }
-    json!({ "rows": Json::Object(rows) })
-}
-
-/// Canonical form of a relation as served: the set of JSON row renderings.
-/// Set-based, because checkpoint-restored state serves the same rows but
-/// not necessarily in the same page order as live-grown state.
-fn served_relation(addr: SocketAddr, name: &str) -> BTreeSet<String> {
-    let (status, v) = get(addr, &format!("/relations/{name}?limit=100000"));
-    assert_eq!(status, 200, "GET /relations/{name}: {v}");
-    v.get("rows")
-        .and_then(Json::as_array)
-        .expect("rows array")
-        .iter()
-        .map(|row| serde_json::to_string(row).unwrap())
-        .collect()
-}
-
-/// Marginal rows with the probability stripped: the variables a node
-/// serves marginals for. Probabilities are refresh-schedule-dependent
-/// after a checkpoint restore, so recovery tests compare rows, not bits
-/// (the same convention as the replication suite).
-fn marginal_rows(addr: SocketAddr, name: &str) -> BTreeSet<String> {
-    let (status, v) = get(addr, &format!("/marginals/{name}?limit=100000"));
-    assert_eq!(status, 200, "GET /marginals/{name}: {v}");
-    v.get("rows")
-        .and_then(Json::as_array)
-        .expect("rows array")
-        .iter()
-        .map(|row| {
-            let mut obj = row.as_object().expect("row object").clone();
-            obj.remove("probability");
-            serde_json::to_string(&Json::Object(obj)).unwrap()
-        })
-        .collect()
+    spouse_app_config(8, 8)
 }
 
 /// Assert two nodes serve the same derived relations and the same marginal
@@ -212,107 +44,6 @@ fn assert_state_parity(a: SocketAddr, b: SocketAddr, context: &str) {
         marginal_rows(b, "MarriedMentions"),
         "{context}: marginal variable sets diverged"
     );
-}
-
-/// A primary/follower pair over the same base state (two identical
-/// deterministic pipeline runs), with per-node config tweaks for the
-/// compaction- and scrub-shaped scenarios.
-struct Pair {
-    primary: ServerHandle,
-    follower: ServerHandle,
-    primary_cfg: ServeConfig,
-    follower_cfg: ServeConfig,
-    p_ckpt: PathBuf,
-    f_ckpt: PathBuf,
-    held_out: Vec<Json>,
-    partial: SpouseCorpus,
-}
-
-fn spawn_pair(
-    tag: &str,
-    config: &SpouseAppConfig,
-    corpus: &SpouseCorpus,
-    hold_out: usize,
-    tweak_primary: impl FnOnce(&mut ServeConfig),
-    tweak_follower: impl FnOnce(&mut ServeConfig),
-) -> Pair {
-    let mut partial = corpus.clone();
-    let mut held_docs = Vec::new();
-    while held_docs.len() < hold_out {
-        let doc = partial.documents.pop().expect("enough documents");
-        if doc.text.trim().is_empty() {
-            continue;
-        }
-        held_docs.push(doc);
-    }
-    held_docs.reverse();
-
-    let mut primary_app =
-        SpouseApp::build_with_corpus(config.clone(), partial.clone()).expect("primary app");
-    primary_app.run().expect("primary base run");
-    let held_out: Vec<Json> = held_docs
-        .iter()
-        .map(|doc| {
-            let changes = primary_app.document_changes(&doc.text);
-            assert!(!changes.is_empty(), "held-out document produced no rows");
-            ingest_body(&changes)
-        })
-        .collect();
-
-    let mut follower_app =
-        SpouseApp::build_with_corpus(config.clone(), partial.clone()).expect("follower app");
-    follower_app.run().expect("follower base run");
-
-    let p_wal = tmpdir(&format!("{tag}-p-wal"));
-    let f_wal = tmpdir(&format!("{tag}-f-wal"));
-    let p_ckpt = tmpdir(&format!("{tag}-p-ckpt"));
-    let f_ckpt = tmpdir(&format!("{tag}-f-ckpt"));
-    primary_app
-        .dd
-        .save_checkpoint(&Checkpoint::new(p_ckpt.clone()).expect("primary checkpoint"))
-        .expect("save primary checkpoint");
-    follower_app
-        .dd
-        .save_checkpoint(&Checkpoint::new(f_ckpt.clone()).expect("follower checkpoint"))
-        .expect("save follower checkpoint");
-
-    let mut primary_cfg = ServeConfig {
-        page_limit: 100_000,
-        wal_dir: Some(p_wal),
-        checkpoint_dir: Some(p_ckpt.clone()),
-        ..Default::default()
-    };
-    tweak_primary(&mut primary_cfg);
-    let primary = Server::new(primary_app.dd, &primary_cfg)
-        .expect("bind primary")
-        .start()
-        .expect("start primary");
-    let p_addr = primary.addr();
-    wait_ready(p_addr);
-
-    let mut follower_cfg = ServeConfig {
-        page_limit: 100_000,
-        wal_dir: Some(f_wal),
-        checkpoint_dir: Some(f_ckpt.clone()),
-        follow: Some(format!("http://{p_addr}")),
-        ..Default::default()
-    };
-    tweak_follower(&mut follower_cfg);
-    let follower = Server::new(follower_app.dd, &follower_cfg)
-        .expect("bind follower")
-        .start()
-        .expect("start follower");
-
-    Pair {
-        primary,
-        follower,
-        primary_cfg,
-        follower_cfg,
-        p_ckpt,
-        f_ckpt,
-        held_out,
-        partial,
-    }
 }
 
 /// A standalone primary (WAL + checkpoint, no replication) for the scrub
@@ -391,14 +122,11 @@ fn promote_after_primary_crash_and_rejoin_converges_bit_identical() {
     // The old primary rejoins as a follower of the new one: it replays
     // doc A from its own WAL, sees term 2 in the stream handshake, adopts
     // it, and fetches doc B.
-    let mut app2 = SpouseApp::build_with_corpus(config, pair.partial.clone()).expect("rejoin app");
-    app2.dd
-        .load_checkpoint(&Checkpoint::new(pair.p_ckpt.clone()).expect("checkpoint"))
-        .expect("restore old primary checkpoint");
+    let dd2 = restored_dd(config, pair.partial.clone(), &pair.p_ckpt);
     let mut rejoin_cfg = pair.primary_cfg.clone();
     rejoin_cfg.addr = "127.0.0.1:0".into();
     rejoin_cfg.follow = Some(format!("http://{f_addr}"));
-    let server2 = Server::new(app2.dd, &rejoin_cfg).expect("rebind old primary");
+    let server2 = Server::new(dd2, &rejoin_cfg).expect("rebind old primary");
     assert_eq!(server2.pending_replay(), 1, "doc A replays locally");
     let handle2 = server2.start().expect("start rejoined node");
     let r_addr = handle2.addr();
@@ -427,6 +155,63 @@ fn promote_after_primary_crash_and_rejoin_converges_bit_identical() {
         .follower
         .graceful_shutdown()
         .expect("drain new primary");
+}
+
+/// A promoted follower is a full primary: its writes go through the group
+/// committer like any other primary's, so a concurrent burst shares WAL
+/// fsyncs instead of paying one per request.
+#[test]
+fn promoted_follower_group_commits_a_concurrent_burst() {
+    let config = tiny_config();
+    let corpus = deepdive_corpus::spouse::generate(&config.corpus);
+    let pair = spawn_pair(
+        "promote-burst",
+        &config,
+        &corpus,
+        4,
+        |_| {},
+        |follower| {
+            follower.workers = 8;
+            follower.linger = Duration::from_millis(200);
+        },
+    );
+    let (p_addr, f_addr) = (pair.primary.addr(), pair.follower.addr());
+    wait_ready(f_addr);
+    let (status, v) = http(p_addr, "POST", "/documents", Some(&pair.held_out[0]));
+    assert_eq!(status, 200, "POST doc A: {v}");
+    wait_epoch(f_addr, 1);
+    pair.primary.abort();
+    let (status, v) = http(f_addr, "POST", "/promote", None);
+    assert_eq!(status, 200, "POST /promote: {v}");
+
+    let burst: Vec<_> = pair.held_out[1..]
+        .iter()
+        .cloned()
+        .map(|body| {
+            std::thread::spawn(move || {
+                let (status, v) = http(f_addr, "POST", "/documents", Some(&body));
+                assert_eq!(status, 200, "burst ingest on the promoted node: {v}");
+                assert_eq!(v.get("durable").and_then(Json::as_bool), Some(true));
+            })
+        })
+        .collect();
+    for t in burst {
+        t.join().expect("ingest thread");
+    }
+    wait_epoch(f_addr, 4);
+
+    let (_, metrics) = get(f_addr, "/metrics");
+    let gc = &metrics["wal"]["group_commit"];
+    assert!(gc["batches"].as_u64() > Some(0), "committer ran: {gc}");
+    assert!(
+        gc["fsyncs_saved"].as_u64() > Some(0),
+        "the burst shared at least one fsync: {gc}"
+    );
+
+    let _ = pair
+        .follower
+        .graceful_shutdown()
+        .expect("drain promoted node");
 }
 
 /// Fencing: after a promotion the deposed primary is still alive and still
@@ -538,12 +323,8 @@ fn follower_resyncs_from_checkpoint_bundle_after_410() {
     // Restart the follower over its stale WAL. Its tailer asks for seq 1,
     // gets 410, and must resync from the primary's checkpoint bundle
     // rather than report a fatal error.
-    let mut app2 =
-        SpouseApp::build_with_corpus(config, pair.partial.clone()).expect("follower restart app");
-    app2.dd
-        .load_checkpoint(&Checkpoint::new(pair.f_ckpt.clone()).expect("checkpoint"))
-        .expect("restore follower checkpoint");
-    let handle2 = Server::new(app2.dd, &pair.follower_cfg)
+    let dd2 = restored_dd(config, pair.partial.clone(), &pair.f_ckpt);
+    let handle2 = Server::new(dd2, &pair.follower_cfg)
         .expect("rebind follower")
         .start()
         .expect("restart follower");

@@ -8,152 +8,22 @@
 //! drain, no final checkpoint, no WAL truncation — the disk state
 //! `kill -9` leaves.
 
+mod common;
+
+use common::{
+    get, http, ingest_body, restored_dd, served_relation, spouse_app_config, tmpdir, try_http,
+    wait_ready,
+};
 use deepdive_core::apps::{SpouseApp, SpouseAppConfig};
 use deepdive_core::faults::points;
-use deepdive_core::{Checkpoint, FaultInjector, RunConfig};
-use deepdive_corpus::SpouseConfig;
-use deepdive_sampler::{GibbsOptions, LearnOptions};
+use deepdive_core::{Checkpoint, FaultInjector};
 use deepdive_serve::{ServeConfig, Server};
-use deepdive_storage::{BaseChange, Value};
-use serde_json::{json, Value as Json};
-use std::collections::BTreeMap;
-use std::collections::BTreeSet;
-use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpStream};
-use std::path::PathBuf;
+use serde_json::Value as Json;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 fn tiny_config() -> SpouseAppConfig {
-    SpouseAppConfig {
-        corpus: SpouseConfig {
-            num_docs: 6,
-            num_people: 8,
-            num_married_pairs: 4,
-            num_sibling_pairs: 4,
-            ..Default::default()
-        },
-        run: RunConfig {
-            learn: LearnOptions {
-                epochs: 30,
-                ..Default::default()
-            },
-            inference: GibbsOptions {
-                burn_in: 20,
-                samples: 200,
-                clamp_evidence: true,
-                ..Default::default()
-            },
-            threads: 1,
-            ..Default::default()
-        },
-        ..Default::default()
-    }
-}
-
-fn tmpdir(tag: &str) -> PathBuf {
-    let d = std::env::temp_dir().join(format!("dd-fastpath-{tag}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&d);
-    std::fs::create_dir_all(&d).expect("create tmpdir");
-    d
-}
-
-fn http(addr: SocketAddr, method: &str, path: &str, body: Option<&Json>) -> (u16, Json) {
-    let mut stream = TcpStream::connect(addr).expect("connect to daemon");
-    let body_text = body
-        .map(|b| serde_json::to_string(b).expect("serializable body"))
-        .unwrap_or_default();
-    write!(
-        stream,
-        "{method} {path} HTTP/1.1\r\nHost: test\r\nContent-Length: {}\r\n\r\n{}",
-        body_text.len(),
-        body_text
-    )
-    .expect("send request");
-    let mut raw = String::new();
-    stream.read_to_string(&mut raw).expect("read response");
-    let status: u16 = raw
-        .split_whitespace()
-        .nth(1)
-        .expect("status line")
-        .parse()
-        .expect("numeric status");
-    let payload = raw.split("\r\n\r\n").nth(1).unwrap_or("");
-    let value = serde_json::from_str(payload).unwrap_or(Json::Null);
-    (status, value)
-}
-
-/// Like [`http`] but tolerant of the connection dying mid-exchange (the
-/// chaos tests race requests against `abort`). `None` = no usable reply.
-fn try_http(addr: SocketAddr, method: &str, path: &str, body: &Json) -> Option<(u16, Json)> {
-    let mut stream = TcpStream::connect(addr).ok()?;
-    let body_text = serde_json::to_string(body).ok()?;
-    write!(
-        stream,
-        "{method} {path} HTTP/1.1\r\nHost: test\r\nContent-Length: {}\r\n\r\n{}",
-        body_text.len(),
-        body_text
-    )
-    .ok()?;
-    let mut raw = String::new();
-    stream.read_to_string(&mut raw).ok()?;
-    let status: u16 = raw.split_whitespace().nth(1)?.parse().ok()?;
-    let payload = raw.split("\r\n\r\n").nth(1).unwrap_or("");
-    Some((status, serde_json::from_str(payload).unwrap_or(Json::Null)))
-}
-
-fn get(addr: SocketAddr, path: &str) -> (u16, Json) {
-    http(addr, "GET", path, None)
-}
-
-fn wait_ready(addr: SocketAddr) {
-    let deadline = Instant::now() + Duration::from_secs(120);
-    loop {
-        let (status, _) = get(addr, "/readyz");
-        if status == 200 {
-            return;
-        }
-        assert!(Instant::now() < deadline, "server never became ready");
-        std::thread::sleep(Duration::from_millis(20));
-    }
-}
-
-fn value_to_cell(v: &Value) -> Json {
-    match v {
-        Value::Null => Json::Null,
-        Value::Bool(b) => json!(*b),
-        Value::Int(i) => json!(*i),
-        Value::Float(f) => json!(*f),
-        Value::Text(t) => json!(t.as_ref()),
-        Value::Id(id) => json!(*id),
-    }
-}
-
-fn ingest_body(changes: &[BaseChange]) -> Json {
-    let mut by_relation: BTreeMap<String, Vec<Json>> = BTreeMap::new();
-    for ch in changes {
-        let cells: Vec<Json> = ch.row.iter().map(value_to_cell).collect();
-        by_relation
-            .entry(ch.relation.clone())
-            .or_default()
-            .push(Json::Array(cells));
-    }
-    let mut rows = serde_json::Map::new();
-    for (relation, rel_rows) in by_relation {
-        rows.insert(relation, Json::Array(rel_rows));
-    }
-    json!({ "rows": Json::Object(rows) })
-}
-
-fn served_relation(addr: SocketAddr, name: &str) -> BTreeSet<String> {
-    let (status, v) = get(addr, &format!("/relations/{name}?limit=100000"));
-    assert_eq!(status, 200, "GET /relations/{name}: {v}");
-    v.get("rows")
-        .and_then(Json::as_array)
-        .expect("rows array")
-        .iter()
-        .map(|row| serde_json::to_string(row).unwrap())
-        .collect()
+    spouse_app_config(6, 8)
 }
 
 /// Deterministic spouse-sentence documents the extraction rules recognize.
@@ -272,11 +142,8 @@ fn crash_mid_group_commit_and_rotation_keeps_every_acked_ingest() {
     }
     let acked = acked.load(std::sync::atomic::Ordering::SeqCst);
 
-    let mut app2 = SpouseApp::build_with_corpus(config, corpus).expect("restart app");
-    app2.dd
-        .load_checkpoint(&Checkpoint::new(ckpt_dir).expect("checkpoint"))
-        .expect("restore checkpoint");
-    let server2 = Server::new(app2.dd, &serve_config).expect("rebind");
+    let dd2 = restored_dd(config, corpus, &ckpt_dir);
+    let server2 = Server::new(dd2, &serve_config).expect("rebind");
     let replayable = server2.pending_replay() as u64;
     assert!(
         replayable >= acked,
@@ -359,11 +226,8 @@ fn crash_mid_compaction_is_survivable_and_restart_completes_it() {
     let before = served_relation(addr, "MarriedCandidate");
     handle.abort();
 
-    let mut app2 = SpouseApp::build_with_corpus(config, corpus).expect("restart app");
-    app2.dd
-        .load_checkpoint(&Checkpoint::new(ckpt_dir).expect("checkpoint"))
-        .expect("restore checkpoint");
-    let server2 = Server::new(app2.dd, &serve_config).expect("rebind");
+    let dd2 = restored_dd(config, corpus, &ckpt_dir);
+    let server2 = Server::new(dd2, &serve_config).expect("rebind");
     assert_eq!(server2.pending_replay(), 0, "flushes covered every ingest");
     let handle2 = server2.start().expect("restart");
     wait_ready(handle2.addr());

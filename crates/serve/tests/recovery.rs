@@ -10,163 +10,31 @@
 //! serve-smoke job runs the same scenario against the real binary with a
 //! real `kill -9`.
 
+mod common;
+
+use common::{
+    batch_relation, get, http, ingest_body, read_report, restored_dd, send_raw, served_relation,
+    spouse_app_config, tmpdir, wait_ready,
+};
 use deepdive_core::apps::{SpouseApp, SpouseAppConfig};
 use deepdive_core::faults::points;
-use deepdive_core::{stalled_client, Checkpoint, FaultInjector, RunConfig};
-use deepdive_corpus::SpouseConfig;
-use deepdive_sampler::{GibbsOptions, LearnOptions};
+use deepdive_core::{stalled_client, Checkpoint, FaultInjector};
 use deepdive_serve::{ServeConfig, Server, Wal};
-use deepdive_storage::{BaseChange, Value};
 use serde_json::{json, Value as Json};
-use std::collections::{BTreeMap, BTreeSet, HashMap};
-use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpStream};
-use std::path::PathBuf;
+use std::collections::{BTreeSet, HashMap};
+use std::io::Read;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 fn app_config() -> SpouseAppConfig {
-    SpouseAppConfig {
-        corpus: SpouseConfig {
-            num_docs: 16,
-            num_people: 12,
-            num_married_pairs: 4,
-            num_sibling_pairs: 4,
-            ..Default::default()
-        },
-        run: RunConfig {
-            learn: LearnOptions {
-                epochs: 30,
-                ..Default::default()
-            },
-            inference: GibbsOptions {
-                burn_in: 20,
-                samples: 200,
-                clamp_evidence: true,
-                ..Default::default()
-            },
-            threads: 1,
-            ..Default::default()
-        },
-        ..Default::default()
-    }
+    spouse_app_config(16, 12)
 }
 
 /// A smaller pipeline for the tests that only need a served app, not
 /// derived-relation parity.
 fn tiny_config() -> SpouseAppConfig {
-    let mut config = app_config();
-    config.corpus.num_docs = 6;
-    config.corpus.num_people = 8;
-    config
-}
-
-/// Fresh per-test scratch directory.
-fn tmpdir(tag: &str) -> PathBuf {
-    let d = std::env::temp_dir().join(format!("dd-recovery-{tag}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&d);
-    std::fs::create_dir_all(&d).expect("create tmpdir");
-    d
-}
-
-/// Minimal HTTP/1.1 client: one request, `Connection: close`, JSON out.
-fn http(addr: SocketAddr, method: &str, path: &str, body: Option<&Json>) -> (u16, Json) {
-    let mut stream = TcpStream::connect(addr).expect("connect to daemon");
-    let body_text = body
-        .map(|b| serde_json::to_string(b).expect("serializable body"))
-        .unwrap_or_default();
-    write!(
-        stream,
-        "{method} {path} HTTP/1.1\r\nHost: test\r\nContent-Length: {}\r\n\r\n{}",
-        body_text.len(),
-        body_text
-    )
-    .expect("send request");
-    let mut raw = String::new();
-    stream.read_to_string(&mut raw).expect("read response");
-    let status: u16 = raw
-        .split_whitespace()
-        .nth(1)
-        .expect("status line")
-        .parse()
-        .expect("numeric status");
-    let payload = raw.split("\r\n\r\n").nth(1).unwrap_or("");
-    let value = serde_json::from_str(payload).unwrap_or(Json::Null);
-    (status, value)
-}
-
-fn get(addr: SocketAddr, path: &str) -> (u16, Json) {
-    http(addr, "GET", path, None)
-}
-
-/// Raw request in, raw response text out (status line and headers intact),
-/// for asserting on headers like `Retry-After`.
-fn http_raw(addr: SocketAddr, payload: &str) -> String {
-    let mut stream = TcpStream::connect(addr).expect("connect to daemon");
-    stream.write_all(payload.as_bytes()).expect("send request");
-    let mut out = String::new();
-    let _ = stream.read_to_string(&mut out);
-    out
-}
-
-/// Poll `/readyz` until it answers 200.
-fn wait_ready(addr: SocketAddr) {
-    let deadline = Instant::now() + Duration::from_secs(120);
-    loop {
-        let (status, _) = get(addr, "/readyz");
-        if status == 200 {
-            return;
-        }
-        assert!(Instant::now() < deadline, "server never became ready");
-        std::thread::sleep(Duration::from_millis(20));
-    }
-}
-
-fn value_to_cell(v: &Value) -> Json {
-    match v {
-        Value::Null => Json::Null,
-        Value::Bool(b) => json!(*b),
-        Value::Int(i) => json!(*i),
-        Value::Float(f) => json!(*f),
-        Value::Text(t) => json!(t.as_ref()),
-        Value::Id(id) => json!(*id),
-    }
-}
-
-/// Group base changes into the `{"rows": {relation: [[cell, ...], ...]}}`
-/// ingest body.
-fn ingest_body(changes: &[BaseChange]) -> Json {
-    let mut by_relation: BTreeMap<String, Vec<Json>> = BTreeMap::new();
-    for ch in changes {
-        let cells: Vec<Json> = ch.row.iter().map(value_to_cell).collect();
-        by_relation
-            .entry(ch.relation.clone())
-            .or_default()
-            .push(Json::Array(cells));
-    }
-    let mut rows = serde_json::Map::new();
-    for (relation, rel_rows) in by_relation {
-        rows.insert(relation, Json::Array(rel_rows));
-    }
-    json!({ "rows": Json::Object(rows) })
-}
-
-/// Canonical form of a relation as served: the set of JSON row renderings.
-fn served_relation(addr: SocketAddr, name: &str) -> BTreeSet<String> {
-    let (status, v) = get(addr, &format!("/relations/{name}?limit=100000"));
-    assert_eq!(status, 200, "GET /relations/{name}: {v}");
-    v.get("rows")
-        .and_then(Json::as_array)
-        .expect("rows array")
-        .iter()
-        .map(|row| serde_json::to_string(row).unwrap())
-        .collect()
-}
-
-fn read_report(wal_dir: &std::path::Path) -> Json {
-    let text = std::fs::read_to_string(wal_dir.join("report.json")).expect("report.json exists");
-    serde_json::from_str(&text).expect("report.json parses")
+    spouse_app_config(6, 8)
 }
 
 /// The tentpole chaos test: acked ingests survive `kill -9`.
@@ -220,11 +88,8 @@ fn kill_mid_ingest_replay_converges_to_batch_parity() {
     handle.abort();
 
     // Restart: fresh process state, checkpoint restore, WAL replay.
-    let mut app2 = SpouseApp::build_with_corpus(config, partial_corpus).expect("restart app");
-    app2.dd
-        .load_checkpoint(&Checkpoint::new(ckpt_dir).expect("checkpoint"))
-        .expect("restore checkpoint");
-    let server2 = Server::new(app2.dd, &serve_config).expect("rebind server");
+    let dd2 = restored_dd(config, partial_corpus, &ckpt_dir);
+    let server2 = Server::new(dd2, &serve_config).expect("rebind server");
     assert_eq!(server2.pending_replay(), 1, "the acked record is pending");
     let state2 = server2.state();
     let handle2 = server2.start().expect("restart server");
@@ -234,22 +99,7 @@ fn kill_mid_ingest_replay_converges_to_batch_parity() {
     // The replayed state must equal the clean batch run over all documents.
     for relation in ["MarriedCandidate", "MarriedMentions_Ev"] {
         let served = served_relation(addr2, relation);
-        let batch: BTreeSet<String> = batch_app
-            .dd
-            .db
-            .rows_counted(relation)
-            .expect("batch relation")
-            .iter()
-            .map(|(row, count)| {
-                let mut obj = serde_json::Map::new();
-                let schema = batch_app.dd.db.schema(relation).unwrap();
-                for (i, v) in row.iter().enumerate() {
-                    obj.insert(schema.columns[i].name.clone(), value_to_cell(v));
-                }
-                obj.insert("count".into(), json!(*count));
-                serde_json::to_string(&Json::Object(obj)).unwrap()
-            })
-            .collect();
+        let batch = batch_relation(&batch_app.dd, relation);
         assert_eq!(
             served, batch,
             "derived relation {relation} diverged after crash + replay"
@@ -326,11 +176,8 @@ fn torn_wal_tail_is_dropped_and_flagged_on_restart() {
     drop(wal);
 
     // …and a full restart replays the intact prefix and reports the tear.
-    let mut app2 = SpouseApp::build_with_corpus(config, corpus).expect("restart app");
-    app2.dd
-        .load_checkpoint(&Checkpoint::new(ckpt_dir).expect("checkpoint"))
-        .expect("restore checkpoint");
-    let server2 = Server::new(app2.dd, &serve_config).expect("rebind");
+    let dd2 = restored_dd(config, corpus, &ckpt_dir);
+    let server2 = Server::new(dd2, &serve_config).expect("rebind");
     assert_eq!(server2.pending_replay(), 1);
     let handle2 = server2.start().expect("restart");
     wait_ready(handle2.addr());
@@ -420,7 +267,7 @@ fn overload_sheds_with_503_and_retry_after_then_recovers() {
         std::thread::sleep(Duration::from_millis(5));
     }
 
-    let raw = http_raw(addr, "GET /healthz HTTP/1.1\r\nHost: t\r\n\r\n");
+    let raw = send_raw(addr, "GET /healthz HTTP/1.1\r\nHost: t\r\n\r\n");
     assert!(
         raw.starts_with("HTTP/1.1 503"),
         "over-admission connection must be shed: {raw:?}"
@@ -435,7 +282,7 @@ fn overload_sheds_with_503_and_retry_after_then_recovers() {
     // slot; service resumes.
     let wait = Instant::now() + Duration::from_secs(10);
     loop {
-        let raw = http_raw(addr, "GET /healthz HTTP/1.1\r\nHost: t\r\n\r\n");
+        let raw = send_raw(addr, "GET /healthz HTTP/1.1\r\nHost: t\r\n\r\n");
         if raw.starts_with("HTTP/1.1 200") {
             break;
         }
@@ -475,7 +322,7 @@ fn ingest_rate_limit_answers_429_with_retry_after() {
     let body = json!({"rows": Json::Object(serde_json::Map::new())});
     let (status, _) = http(addr, "POST", "/documents", Some(&body));
     assert_eq!(status, 400, "empty ingest is a 400 (token spent)");
-    let raw = http_raw(
+    let raw = send_raw(
         addr,
         "POST /documents HTTP/1.1\r\nHost: t\r\nContent-Length: 12\r\n\r\n{\"rows\": {}}",
     );
@@ -576,10 +423,7 @@ fn readers_see_only_whole_epochs_during_replay_and_readyz_gates() {
     // window is wide enough to observe deterministically.
     let faults = Arc::new(FaultInjector::new());
     faults.arm(points::WAL_REPLAY_STALL, 1);
-    let mut app2 = SpouseApp::build_with_corpus(config, corpus).expect("restart app");
-    app2.dd
-        .load_checkpoint(&Checkpoint::new(ckpt_dir).expect("checkpoint"))
-        .expect("restore checkpoint");
+    let dd2 = restored_dd(config, corpus, &ckpt_dir);
     let serve_config = ServeConfig {
         page_limit: 100_000,
         wal_dir: Some(wal_dir),
@@ -587,7 +431,7 @@ fn readers_see_only_whole_epochs_during_replay_and_readyz_gates() {
         faults,
         ..Default::default()
     };
-    let server = Server::new(app2.dd, &serve_config).expect("bind server");
+    let server = Server::new(dd2, &serve_config).expect("bind server");
     assert_eq!(server.pending_replay(), 3);
     let handle = server.start().expect("start server");
     let addr = handle.addr();
@@ -684,17 +528,14 @@ fn shutdown_during_replay_never_reopens_readiness() {
     // Stall the replay so the shutdown reliably lands while it is running.
     let faults = Arc::new(FaultInjector::new());
     faults.arm(points::WAL_REPLAY_STALL, 1);
-    let mut app2 = SpouseApp::build_with_corpus(config, corpus).expect("restart app");
-    app2.dd
-        .load_checkpoint(&Checkpoint::new(ckpt_dir.clone()).expect("checkpoint"))
-        .expect("restore checkpoint");
+    let dd2 = restored_dd(config, corpus, &ckpt_dir);
     let serve_config = ServeConfig {
         wal_dir: Some(wal_dir),
         checkpoint_dir: Some(ckpt_dir),
         faults,
         ..Default::default()
     };
-    let server = Server::new(app2.dd, &serve_config).expect("bind server");
+    let server = Server::new(dd2, &serve_config).expect("bind server");
     assert_eq!(server.pending_replay(), 1);
     let state = server.state();
     let handle = server.start().expect("start server");
@@ -752,11 +593,8 @@ fn graceful_drain_flushes_checkpoint_and_truncates_wal() {
 
     // Restart: nothing to replay, and the ingested rows are in the
     // checkpoint.
-    let mut app2 = SpouseApp::build_with_corpus(config, corpus).expect("restart app");
-    app2.dd
-        .load_checkpoint(&Checkpoint::new(ckpt_dir).expect("checkpoint"))
-        .expect("restore checkpoint");
-    let server2 = Server::new(app2.dd, &serve_config).expect("rebind");
+    let dd2 = restored_dd(config, corpus, &ckpt_dir);
+    let server2 = Server::new(dd2, &serve_config).expect("rebind");
     assert_eq!(server2.pending_replay(), 0);
     let handle2 = server2.start().expect("restart");
     wait_ready(handle2.addr());

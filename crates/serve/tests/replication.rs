@@ -8,223 +8,33 @@
 //! `kill -9` leaves. The CI replication-smoke job runs a primary/follower
 //! pair against the real binary with real signals.
 
+mod common;
+
+use common::{
+    batch_relation, free_port, get, http, marginal_rows, read_report, replication_metrics,
+    restored_dd, served_relation, spouse_app_config, tmpdir, wait_epoch, wait_ready, Pair,
+};
 use deepdive_core::apps::{SpouseApp, SpouseAppConfig};
 use deepdive_core::faults::points;
-use deepdive_core::{Checkpoint, FaultInjector, RunConfig};
+use deepdive_core::FaultInjector;
 use deepdive_corpus::spouse::SpouseCorpus;
-use deepdive_corpus::SpouseConfig;
-use deepdive_sampler::{GibbsOptions, LearnOptions};
-use deepdive_serve::{ServeConfig, Server, ServerHandle, Wal};
-use deepdive_storage::{BaseChange, Value};
+use deepdive_serve::{ServeConfig, Server, Wal};
 use serde_json::{json, Value as Json};
-use std::collections::{BTreeMap, BTreeSet};
-use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 fn app_config() -> SpouseAppConfig {
-    SpouseAppConfig {
-        corpus: SpouseConfig {
-            num_docs: 16,
-            num_people: 12,
-            num_married_pairs: 4,
-            num_sibling_pairs: 4,
-            ..Default::default()
-        },
-        run: RunConfig {
-            learn: LearnOptions {
-                epochs: 30,
-                ..Default::default()
-            },
-            inference: GibbsOptions {
-                burn_in: 20,
-                samples: 200,
-                clamp_evidence: true,
-                ..Default::default()
-            },
-            threads: 1,
-            ..Default::default()
-        },
-        ..Default::default()
-    }
+    spouse_app_config(16, 12)
 }
 
 /// A smaller pipeline for tests that need a served pair, not batch parity.
 fn tiny_config() -> SpouseAppConfig {
-    let mut config = app_config();
-    config.corpus.num_docs = 8;
-    config.corpus.num_people = 8;
-    config
+    spouse_app_config(8, 8)
 }
 
-fn tmpdir(tag: &str) -> PathBuf {
-    let d = std::env::temp_dir().join(format!("dd-repl-{tag}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&d);
-    std::fs::create_dir_all(&d).expect("create tmpdir");
-    d
-}
-
-fn http(addr: SocketAddr, method: &str, path: &str, body: Option<&Json>) -> (u16, Json) {
-    let mut stream = TcpStream::connect(addr).expect("connect to daemon");
-    let body_text = body
-        .map(|b| serde_json::to_string(b).expect("serializable body"))
-        .unwrap_or_default();
-    write!(
-        stream,
-        "{method} {path} HTTP/1.1\r\nHost: test\r\nContent-Length: {}\r\n\r\n{}",
-        body_text.len(),
-        body_text
-    )
-    .expect("send request");
-    let mut raw = String::new();
-    stream.read_to_string(&mut raw).expect("read response");
-    let status: u16 = raw
-        .split_whitespace()
-        .nth(1)
-        .expect("status line")
-        .parse()
-        .expect("numeric status");
-    let payload = raw.split("\r\n\r\n").nth(1).unwrap_or("");
-    let value = serde_json::from_str(payload).unwrap_or(Json::Null);
-    (status, value)
-}
-
-fn get(addr: SocketAddr, path: &str) -> (u16, Json) {
-    http(addr, "GET", path, None)
-}
-
-/// Poll `/readyz` until it answers 200. For a follower this also waits
-/// out WAL replay, the primary handshake, and the lag bound.
-fn wait_ready(addr: SocketAddr) {
-    let deadline = Instant::now() + Duration::from_secs(120);
-    loop {
-        let (status, _) = get(addr, "/readyz");
-        if status == 200 {
-            return;
-        }
-        assert!(Instant::now() < deadline, "server never became ready");
-        std::thread::sleep(Duration::from_millis(20));
-    }
-}
-
-/// Poll `/healthz` until the served epoch reaches `epoch`.
-fn wait_epoch(addr: SocketAddr, epoch: u64) {
-    let deadline = Instant::now() + Duration::from_secs(120);
-    loop {
-        let (status, v) = get(addr, "/healthz");
-        assert_eq!(status, 200, "healthz while waiting for epoch: {v}");
-        if v.get("epoch").and_then(Json::as_u64) >= Some(epoch) {
-            return;
-        }
-        assert!(
-            Instant::now() < deadline,
-            "never reached epoch {epoch}: {v}"
-        );
-        std::thread::sleep(Duration::from_millis(20));
-    }
-}
-
-/// The `"replication"` section of a node's `/metrics`.
-fn replication_metrics(addr: SocketAddr) -> Json {
-    let (status, v) = get(addr, "/metrics");
-    assert_eq!(status, 200, "GET /metrics: {v}");
-    v.get("replication").cloned().expect("replication section")
-}
-
-fn value_to_cell(v: &Value) -> Json {
-    match v {
-        Value::Null => Json::Null,
-        Value::Bool(b) => json!(*b),
-        Value::Int(i) => json!(*i),
-        Value::Float(f) => json!(*f),
-        Value::Text(t) => json!(t.as_ref()),
-        Value::Id(id) => json!(*id),
-    }
-}
-
-fn ingest_body(changes: &[BaseChange]) -> Json {
-    let mut by_relation: BTreeMap<String, Vec<Json>> = BTreeMap::new();
-    for ch in changes {
-        let cells: Vec<Json> = ch.row.iter().map(value_to_cell).collect();
-        by_relation
-            .entry(ch.relation.clone())
-            .or_default()
-            .push(Json::Array(cells));
-    }
-    let mut rows = serde_json::Map::new();
-    for (relation, rel_rows) in by_relation {
-        rows.insert(relation, Json::Array(rel_rows));
-    }
-    json!({ "rows": Json::Object(rows) })
-}
-
-/// Canonical form of a relation as served: the set of JSON row renderings.
-fn served_relation(addr: SocketAddr, name: &str) -> BTreeSet<String> {
-    let (status, v) = get(addr, &format!("/relations/{name}?limit=100000"));
-    assert_eq!(status, 200, "GET /relations/{name}: {v}");
-    v.get("rows")
-        .and_then(Json::as_array)
-        .expect("rows array")
-        .iter()
-        .map(|row| serde_json::to_string(row).unwrap())
-        .collect()
-}
-
-/// Marginal rows with the probability stripped: the set of variables the
-/// node serves marginals for, comparable across refresh schedules.
-fn marginal_rows(addr: SocketAddr, name: &str) -> BTreeSet<String> {
-    let (status, v) = get(addr, &format!("/marginals/{name}?limit=100000"));
-    assert_eq!(status, 200, "GET /marginals/{name}: {v}");
-    v.get("rows")
-        .and_then(Json::as_array)
-        .expect("rows array")
-        .iter()
-        .map(|row| {
-            let mut obj = row.as_object().expect("row object").clone();
-            obj.remove("probability");
-            serde_json::to_string(&Json::Object(obj)).unwrap()
-        })
-        .collect()
-}
-
-fn read_report(wal_dir: &std::path::Path) -> Json {
-    let text = std::fs::read_to_string(wal_dir.join("report.json")).expect("report.json exists");
-    serde_json::from_str(&text).expect("report.json parses")
-}
-
-/// Reserve a port the OS considers free so a "restarted" primary can come
-/// back at the same address its follower holds.
-fn free_port() -> u16 {
-    TcpListener::bind("127.0.0.1:0")
-        .expect("probe port")
-        .local_addr()
-        .expect("probe addr")
-        .port()
-}
-
-/// A primary/follower pair over the same base state: two identical
-/// deterministic pipeline runs, each with its own WAL and checkpoint
-/// directory, the follower tailing the primary.
-struct Pair {
-    primary: ServerHandle,
-    follower: ServerHandle,
-    primary_cfg: ServeConfig,
-    follower_cfg: ServeConfig,
-    p_wal: PathBuf,
-    f_wal: PathBuf,
-    p_ckpt: PathBuf,
-    f_ckpt: PathBuf,
-    /// Ingest bodies for the held-out documents, in order.
-    held_out: Vec<Json>,
-    /// The corpus both nodes ran over — restarts rebuild from this.
-    partial: SpouseCorpus,
-}
-
-/// Build the pair. `hold_out` documents are removed from the served corpus
-/// and returned as ingest bodies; both nodes run the pipeline over the
-/// same partial corpus so they start from identical state at WAL seq 0.
+/// [`common::spawn_pair`] with the primary on a reserved port (so a
+/// "restarted" primary can come back at the address its follower holds)
+/// and per-node fault injectors.
 fn spawn_pair(
     tag: &str,
     config: &SpouseAppConfig,
@@ -234,89 +44,20 @@ fn spawn_pair(
     primary_faults: Arc<FaultInjector>,
     follower_faults: Arc<FaultInjector>,
 ) -> Pair {
-    let mut partial = corpus.clone();
-    let mut held_docs = Vec::new();
-    while held_docs.len() < hold_out {
-        let doc = partial.documents.pop().expect("enough documents");
-        // The generator can emit empty documents; they contribute no rows
-        // to any run, so dropping them entirely changes nothing.
-        if doc.text.trim().is_empty() {
-            continue;
-        }
-        held_docs.push(doc);
-    }
-    held_docs.reverse(); // restore corpus order
-
-    let mut primary_app =
-        SpouseApp::build_with_corpus(config.clone(), partial.clone()).expect("primary app");
-    primary_app.run().expect("primary base run");
-    let held_out: Vec<Json> = held_docs
-        .iter()
-        .map(|doc| {
-            let changes = primary_app.document_changes(&doc.text);
-            assert!(!changes.is_empty(), "held-out document produced no rows");
-            ingest_body(&changes)
-        })
-        .collect();
-
-    let mut follower_app =
-        SpouseApp::build_with_corpus(config.clone(), partial.clone()).expect("follower app");
-    follower_app.run().expect("follower base run");
-
-    let p_wal = tmpdir(&format!("{tag}-p-wal"));
-    let f_wal = tmpdir(&format!("{tag}-f-wal"));
-    let p_ckpt = tmpdir(&format!("{tag}-p-ckpt"));
-    let f_ckpt = tmpdir(&format!("{tag}-f-ckpt"));
-    primary_app
-        .dd
-        .save_checkpoint(&Checkpoint::new(p_ckpt.clone()).expect("primary checkpoint"))
-        .expect("save primary checkpoint");
-    follower_app
-        .dd
-        .save_checkpoint(&Checkpoint::new(f_ckpt.clone()).expect("follower checkpoint"))
-        .expect("save follower checkpoint");
-
-    let primary_cfg = ServeConfig {
-        addr: format!("127.0.0.1:{}", free_port()),
-        page_limit: 100_000,
-        wal_dir: Some(p_wal.clone()),
-        checkpoint_dir: Some(p_ckpt.clone()),
-        faults: primary_faults,
-        ..Default::default()
-    };
-    let primary = Server::new(primary_app.dd, &primary_cfg)
-        .expect("bind primary")
-        .start()
-        .expect("start primary");
-    let p_addr = primary.addr();
-    wait_ready(p_addr);
-
-    let follower_cfg = ServeConfig {
-        page_limit: 100_000,
-        wal_dir: Some(f_wal.clone()),
-        checkpoint_dir: Some(f_ckpt.clone()),
-        follow: Some(format!("http://{p_addr}")),
-        max_lag_epochs,
-        faults: follower_faults,
-        ..Default::default()
-    };
-    let follower = Server::new(follower_app.dd, &follower_cfg)
-        .expect("bind follower")
-        .start()
-        .expect("start follower");
-
-    Pair {
-        primary,
-        follower,
-        primary_cfg,
-        follower_cfg,
-        p_wal,
-        f_wal,
-        p_ckpt,
-        f_ckpt,
-        held_out,
-        partial,
-    }
+    common::spawn_pair(
+        tag,
+        config,
+        corpus,
+        hold_out,
+        |primary| {
+            primary.addr = format!("127.0.0.1:{}", free_port());
+            primary.faults = primary_faults;
+        },
+        |follower| {
+            follower.max_lag_epochs = max_lag_epochs;
+            follower.faults = follower_faults;
+        },
+    )
 }
 
 /// The happy tentpole path: a follower tails the primary live and, once
@@ -455,11 +196,8 @@ fn primary_crash_mid_stream_follower_reconnects_to_batch_parity() {
     pair.primary.abort();
 
     // Restart it from its checkpoint + WAL replay, same address.
-    let mut app2 = SpouseApp::build_with_corpus(config, pair.partial.clone()).expect("restart app");
-    app2.dd
-        .load_checkpoint(&Checkpoint::new(pair.p_ckpt.clone()).expect("checkpoint"))
-        .expect("restore primary checkpoint");
-    let server2 = Server::new(app2.dd, &pair.primary_cfg).expect("rebind primary");
+    let dd2 = restored_dd(config, pair.partial.clone(), &pair.p_ckpt);
+    let server2 = Server::new(dd2, &pair.primary_cfg).expect("rebind primary");
     assert_eq!(server2.pending_replay(), 1, "doc A's record is pending");
     let handle2 = server2.start().expect("restart primary");
     assert_eq!(handle2.addr(), p_addr, "primary came back at its address");
@@ -474,22 +212,7 @@ fn primary_crash_mid_stream_follower_reconnects_to_batch_parity() {
     // Derived relations on the follower equal the clean batch run.
     for relation in ["MarriedCandidate", "MarriedMentions_Ev"] {
         let served = served_relation(f_addr, relation);
-        let batch: BTreeSet<String> = batch_app
-            .dd
-            .db
-            .rows_counted(relation)
-            .expect("batch relation")
-            .iter()
-            .map(|(row, count)| {
-                let mut obj = serde_json::Map::new();
-                let schema = batch_app.dd.db.schema(relation).unwrap();
-                for (i, v) in row.iter().enumerate() {
-                    obj.insert(schema.columns[i].name.clone(), value_to_cell(v));
-                }
-                obj.insert("count".into(), json!(*count));
-                serde_json::to_string(&Json::Object(obj)).unwrap()
-            })
-            .collect();
+        let batch = batch_relation(&batch_app.dd, relation);
         assert_eq!(
             served, batch,
             "follower relation {relation} diverged from the clean batch run"
@@ -547,12 +270,8 @@ fn follower_crash_mid_apply_resumes_from_durable_offset() {
 
     // Restart the follower from its checkpoint + its own WAL copy. Both
     // records are pending locally: the restart needs no primary history.
-    let mut app2 = SpouseApp::build_with_corpus(config.clone(), pair.partial.clone())
-        .expect("follower restart app");
-    app2.dd
-        .load_checkpoint(&Checkpoint::new(pair.f_ckpt.clone()).expect("checkpoint"))
-        .expect("restore follower checkpoint");
-    let server2 = Server::new(app2.dd, &pair.follower_cfg).expect("rebind follower");
+    let dd2 = restored_dd(config.clone(), pair.partial.clone(), &pair.f_ckpt);
+    let server2 = Server::new(dd2, &pair.follower_cfg).expect("rebind follower");
     assert_eq!(
         server2.pending_replay(),
         2,

@@ -7,20 +7,20 @@
 //! whole contract: every row the server believes in is announced, every
 //! retraction is explicit, and counts match bit-for-bit.
 
+mod common;
+
+use common::{free_port, get, http, ingest_body, spouse_app_config, tmpdir, wait_epoch};
 use deepdive_core::apps::{SpouseApp, SpouseAppConfig};
 use deepdive_core::faults::points;
 use deepdive_core::{Checkpoint, DeepDive, FaultInjector, RunConfig};
-use deepdive_corpus::SpouseConfig;
-use deepdive_sampler::{GibbsOptions, LearnOptions};
 use deepdive_serve::{ServeConfig, Server};
-use deepdive_storage::{BaseChange, Value};
+use deepdive_storage::BaseChange;
 use serde_json::{json, Map, Value as Json};
 use std::collections::BTreeMap;
 use std::io::{BufRead, BufReader, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::path::PathBuf;
+use std::net::{SocketAddr, TcpStream};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// A datalog program whose derived relation *retracts* under ingest: every
 /// `Excl(x)` insert DReds away previously-derived `Out(x, y)` rows. POST
@@ -44,91 +44,9 @@ fn negation_app() -> DeepDive {
 }
 
 fn spouse_config() -> SpouseAppConfig {
-    SpouseAppConfig {
-        corpus: SpouseConfig {
-            num_docs: 12,
-            num_people: 10,
-            num_married_pairs: 4,
-            num_sibling_pairs: 3,
-            ..Default::default()
-        },
-        run: RunConfig {
-            learn: LearnOptions {
-                epochs: 30,
-                ..Default::default()
-            },
-            inference: GibbsOptions {
-                burn_in: 20,
-                samples: 200,
-                clamp_evidence: true,
-                ..Default::default()
-            },
-            threads: 1,
-            ..Default::default()
-        },
-        ..Default::default()
-    }
-}
-
-fn tmpdir(tag: &str) -> PathBuf {
-    let d = std::env::temp_dir().join(format!("dd-subs-{tag}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&d);
-    std::fs::create_dir_all(&d).expect("create tmpdir");
-    d
-}
-
-fn free_port() -> u16 {
-    TcpListener::bind("127.0.0.1:0")
-        .expect("probe port")
-        .local_addr()
-        .expect("probe addr")
-        .port()
-}
-
-/// Minimal HTTP/1.1 client: one request, `Connection: close`, JSON out.
-fn http(addr: SocketAddr, method: &str, path: &str, body: Option<&Json>) -> (u16, Json) {
-    let mut stream = TcpStream::connect(addr).expect("connect to daemon");
-    let body_text = body
-        .map(|b| serde_json::to_string(b).expect("serializable body"))
-        .unwrap_or_default();
-    write!(
-        stream,
-        "{method} {path} HTTP/1.1\r\nHost: test\r\nContent-Length: {}\r\n\r\n{}",
-        body_text.len(),
-        body_text
-    )
-    .expect("send request");
-    let mut raw = String::new();
-    stream.read_to_string(&mut raw).expect("read response");
-    let status: u16 = raw
-        .split_whitespace()
-        .nth(1)
-        .expect("status line")
-        .parse()
-        .expect("numeric status");
-    let payload = raw.split("\r\n\r\n").nth(1).unwrap_or("");
-    let value = serde_json::from_str(payload).unwrap_or(Json::Null);
-    (status, value)
-}
-
-fn get(addr: SocketAddr, path: &str) -> (u16, Json) {
-    http(addr, "GET", path, None)
-}
-
-fn wait_epoch(addr: SocketAddr, epoch: u64) {
-    let deadline = Instant::now() + Duration::from_secs(120);
-    loop {
-        let (status, v) = get(addr, "/healthz");
-        assert_eq!(status, 200, "healthz while waiting for epoch: {v}");
-        if v.get("epoch").and_then(Json::as_u64) >= Some(epoch) {
-            return;
-        }
-        assert!(
-            Instant::now() < deadline,
-            "never reached epoch {epoch}: {v}"
-        );
-        std::thread::sleep(Duration::from_millis(20));
-    }
+    let mut config = spouse_app_config(12, 10);
+    config.corpus.num_sibling_pairs = 3;
+    config
 }
 
 fn ingest(addr: SocketAddr, rows: &[(&str, Vec<Json>)]) {
@@ -146,33 +64,6 @@ fn ingest(addr: SocketAddr, rows: &[(&str, Vec<Json>)]) {
     let body = json!({ "rows": Json::Object(obj) });
     let (status, v) = http(addr, "POST", "/documents", Some(&body));
     assert_eq!(status, 200, "POST /documents: {v}");
-}
-
-fn value_to_cell(v: &Value) -> Json {
-    match v {
-        Value::Null => Json::Null,
-        Value::Bool(b) => json!(*b),
-        Value::Int(i) => json!(*i),
-        Value::Float(f) => json!(*f),
-        Value::Text(t) => json!(t.as_ref()),
-        Value::Id(id) => json!(*id),
-    }
-}
-
-fn ingest_body(changes: &[BaseChange]) -> Json {
-    let mut by_relation: BTreeMap<String, Vec<Json>> = BTreeMap::new();
-    for ch in changes {
-        let cells: Vec<Json> = ch.row.iter().map(value_to_cell).collect();
-        by_relation
-            .entry(ch.relation.clone())
-            .or_default()
-            .push(Json::Array(cells));
-    }
-    let mut rows = Map::new();
-    for (relation, rel_rows) in by_relation {
-        rows.insert(relation, Json::Array(rel_rows));
-    }
-    json!({ "rows": Json::Object(rows) })
 }
 
 /// A subscriber's reconstructed view: row (as rendered JSON array) -> count
@@ -793,8 +684,7 @@ fn follower_serves_subscriptions_and_redirects_writes() {
     let head = raw.split("\r\n\r\n").next().unwrap_or("");
     assert!(raw.starts_with("HTTP/1.1 405"), "{head}");
     assert!(
-        head.lines()
-            .any(|l| l.eq_ignore_ascii_case("allow: GET, HEAD")),
+        head.lines().any(|l| l.eq_ignore_ascii_case("allow: GET")),
         "missing Allow header: {head}"
     );
     assert!(
