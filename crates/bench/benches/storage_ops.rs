@@ -2,10 +2,9 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use deepdive_storage::{
-    row, Atom, BaseChange, CmpOp, Database, ExecutionContext, IncrementalEngine, Literal, Program,
-    Rule, Schema, StratifiedProgram, Term, ValueType,
+    row, Atom, BaseChange, CmpOp, Database, IncrementalEngine, Literal, Program, Rule, Schema,
+    StratifiedProgram, Term, ValueType,
 };
-use std::sync::Arc;
 
 fn spouse_like_db(sentences: usize, mentions_per: usize) -> Database {
     let db = Database::new();
@@ -55,9 +54,6 @@ fn cand_program() -> Program {
 fn storage_ops(c: &mut Criterion) {
     let mut group = c.benchmark_group("storage_ops");
     group.sample_size(20);
-    // Honor DEEPDIVE_THREADS so the same benches measure the partitioned
-    // engine (default: sequential).
-    let ctx = Arc::new(ExecutionContext::from_env());
 
     for sentences in [200usize, 1000] {
         group.bench_with_input(
@@ -66,8 +62,7 @@ fn storage_ops(c: &mut Criterion) {
             |b, &n| {
                 let db = spouse_like_db(n, 3);
                 let sp = StratifiedProgram::new(cand_program(), &db).unwrap();
-                let ctx = Arc::clone(&ctx);
-                b.iter(move || sp.evaluate_ctx(&db, &ctx).unwrap())
+                b.iter(move || sp.evaluate(&db).unwrap())
             },
         );
 
@@ -78,9 +73,8 @@ fn storage_ops(c: &mut Criterion) {
                 b.iter_batched(
                     || {
                         let db = spouse_like_db(n, 3);
-                        let engine = IncrementalEngine::with_context(
+                        let engine = IncrementalEngine::new(
                             StratifiedProgram::new(cand_program(), &db).unwrap(),
-                            Arc::clone(&ctx),
                         );
                         engine.initial_load(&db).unwrap();
                         (db, engine)
@@ -145,10 +139,7 @@ fn storage_ops(c: &mut Criterion) {
                         ],
                     ),
                 ]);
-                let engine = IncrementalEngine::with_context(
-                    StratifiedProgram::new(prog, &db).unwrap(),
-                    Arc::clone(&ctx),
-                );
+                let engine = IncrementalEngine::new(StratifiedProgram::new(prog, &db).unwrap());
                 engine.initial_load(&db).unwrap();
                 (db, engine)
             },

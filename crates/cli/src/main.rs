@@ -15,10 +15,13 @@
 //!     --epochs <n>           learning epochs (default 100)
 //!     --samples <n>          inference sweeps (default 1000)
 //!     --seed <n>             run seed (default 221)
-//!     --threads <n>          worker threads for the partitioned execution
-//!                            core (default: $DEEPDIVE_THREADS, else the
-//!                            machine's available parallelism; any thread
-//!                            count is byte-identical to --threads 1)
+//!     --threads <n>          independent Gibbs chains for inference
+//!                            (default: $DEEPDIVE_THREADS, else the
+//!                            machine's available parallelism); rules,
+//!                            grounding and learning are sequential, so the
+//!                            grounded graph, plans and learned weights are
+//!                            identical at any count and only the marginals
+//!                            depend on (seed, threads)
 //!     --calibration          print the Figure-5 calibration table
 //!
 //!   storage engine:

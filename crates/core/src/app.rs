@@ -8,8 +8,7 @@ use deepdive_ddlog::{compile, DdlogError, DdlogProgram};
 use deepdive_factorgraph::{CompiledGraph, VariableId, WeightStore};
 use deepdive_grounding::{Grounder, GroundingDelta, LoadTimings, VarKey};
 use deepdive_sampler::{
-    learn_weights, learn_weights_model_averaging, parallel_marginals, GibbsOptions, LearnOptions,
-    LearnStats, Marginals,
+    learn_weights, parallel_marginals, GibbsOptions, LearnOptions, LearnStats, Marginals,
 };
 use deepdive_storage::{
     default_threads, threads_from_env, BaseChange, Database, ExecutionContext, FailurePolicy,
@@ -117,12 +116,13 @@ pub struct RunConfig {
     /// kill-point for crash/resume testing). The returned [`RunResult`] has
     /// `halted_after` set and no marginals.
     pub halt_after: Option<Phase>,
-    /// Worker threads for the partitioned execution core. `1` (the default)
-    /// runs every phase on the caller thread, byte-identical to historical
-    /// sequential output; `N > 1` shards rule evaluation and grounding over
-    /// `N` partitions, averages `N` learning replicas per epoch, and pools
-    /// `N` inference chains. Defaults to `$DEEPDIVE_THREADS` when set, else
-    /// to the machine's available parallelism.
+    /// Number of independent Gibbs chains inference runs, one per thread,
+    /// in batch inference and in the serve refresh. Rule evaluation,
+    /// grounding and weight learning are sequential at any value, so the
+    /// grounded graph, plans and learned weights do not depend on it; only
+    /// the marginals depend on `(seed, threads)`. Defaults to
+    /// `$DEEPDIVE_THREADS` when set, else to the machine's available
+    /// parallelism.
     pub threads: usize,
     /// Resident-bytes budget for relation storage, in MiB. When set, every
     /// relation is backed by a [`deepdive_storage::SpillStore`]: sealed
@@ -283,8 +283,8 @@ pub struct DeepDive {
     pub db: Database,
     pub grounder: Grounder,
     pub config: RunConfig,
-    /// The shared execution context every phase runs under (fixpoint,
-    /// grounding, learning, inference). Rebuilt by [`DeepDive::set_threads`].
+    /// The run's execution context: Gibbs chain count and the per-phase
+    /// metrics `report.json` and `/metrics` show.
     ctx: Arc<ExecutionContext>,
 }
 
@@ -351,9 +351,8 @@ impl DeepDiveBuilder {
             });
         }
         let ddlog: DdlogProgram = compile(&self.ddlog_src)?;
-        let mut grounder = Grounder::new(&mut self.db, ddlog)?;
+        let grounder = Grounder::new(&mut self.db, ddlog)?;
         let ctx = Arc::new(ExecutionContext::new(self.config.threads));
-        grounder.set_execution_context(Arc::clone(&ctx));
         Ok(DeepDive {
             db: self.db,
             grounder,
@@ -372,14 +371,6 @@ impl DeepDive {
     pub fn insert(&self, relation: &str, row: Row) -> Result<(), DeepDiveError> {
         self.db.insert(relation, row)?;
         Ok(())
-    }
-
-    /// Retarget the partitioned execution core at `threads` workers
-    /// (clamped to at least 1). Affects every subsequent phase.
-    pub fn set_threads(&mut self, threads: usize) {
-        self.config.threads = threads.max(1);
-        self.ctx = Arc::new(ExecutionContext::new(self.config.threads));
-        self.grounder.set_execution_context(Arc::clone(&self.ctx));
     }
 
     /// The execution context the pipeline currently runs under.
@@ -716,20 +707,7 @@ impl DeepDive {
                 if !self.config.warm_start {
                     weights.reset_learnable(0.0);
                 }
-                // threads == 1: the historical sequential SGD, unchanged.
-                // threads > 1: one replica per worker with epoch-barrier
-                // weight averaging (DimmWitted's model-averaging strategy).
-                let stats = if self.config.threads > 1 {
-                    learn_weights_model_averaging(
-                        &graph,
-                        &mut weights,
-                        &self.config.learn,
-                        self.config.threads,
-                        1,
-                    )
-                } else {
-                    learn_weights(&graph, &mut weights, &self.config.learn)
-                };
+                let stats = learn_weights(&graph, &mut weights, &self.config.learn);
                 if let Some(c) = ckpt {
                     c.save_weights(&weights, learn_start.elapsed().as_secs_f64())?;
                 }

@@ -67,10 +67,8 @@ pub struct RunReport {
     pub incidents: BTreeMap<String, u64>,
     /// Distinct quarantined rows per quarantine relation.
     pub quarantine: BTreeMap<String, usize>,
-    /// Worker threads the run executed under.
+    /// Gibbs chains the run's inference used.
     pub threads: usize,
-    /// Data partitions rule evaluation sharded over.
-    pub partitions: usize,
     /// Raw `DEEPDIVE_THREADS` value that failed to parse, when the run fell
     /// back to available parallelism because of it.
     pub threads_env_fallback: Option<String>,
@@ -125,7 +123,6 @@ impl RunReport {
             incidents: dd.db.incident_counts(),
             quarantine: dd.db.quarantine_counts(),
             threads: dd.execution_context().threads(),
-            partitions: dd.execution_context().partitions(),
             threads_env_fallback: deepdive_storage::env_threads()
                 .invalid_value()
                 .map(str::to_string),
@@ -185,7 +182,6 @@ impl RunReport {
         ));
         let execution = json!({
             "threads": self.threads,
-            "partitions": self.partitions,
             "threads_env_fallback": match &self.threads_env_fallback {
                 Some(raw) => json!({
                     "value": raw,

@@ -16,12 +16,11 @@ use crate::state::{GroundingDelta, GroundingState};
 use deepdive_ddlog::{DdlogProgram, FactorRule, WeightSpec};
 use deepdive_factorgraph::{FactorArg, VariableId};
 use deepdive_storage::{
-    Atom, AtomDeltas, BaseChange, CompiledRule, Database, DeltaRelation, ExecutionContext,
-    IncrementalEngine, MaintenanceResult, Program, Row, Rule, Schema, Source, StorageError,
-    StratifiedProgram, Term, Value, ValueType,
+    Atom, AtomDeltas, BaseChange, CompiledRule, Database, DeltaRelation, IncrementalEngine,
+    MaintenanceResult, Program, Row, Rule, Schema, Source, StorageError, StratifiedProgram, Term,
+    Value, ValueType,
 };
 use std::collections::{HashMap, HashSet};
-use std::sync::Arc;
 
 /// Suffix convention tying a query relation `R` to its evidence relation
 /// `R_Ev` (paper §3.2: "each user relation is associated with an evidence
@@ -59,11 +58,6 @@ pub struct Grounder {
     pub ddlog: DdlogProgram,
     engine: IncrementalEngine,
     factor_rules: Vec<CompiledFactorRule>,
-    /// Partitioned-execution context shared with the maintenance engine.
-    /// Factor-rule bodies are sharded over its worker pool; the merged rows
-    /// are sorted before interning, so factor/weight ids stay bit-identical
-    /// to sequential execution.
-    ctx: Arc<ExecutionContext>,
     pub state: GroundingState,
     /// Query relation names (owning Boolean variables).
     query_relations: HashSet<String>,
@@ -165,23 +159,10 @@ impl Grounder {
             ddlog,
             engine,
             factor_rules,
-            ctx: Arc::new(ExecutionContext::sequential()),
             state: GroundingState::new(),
             query_relations,
             evidence_of,
         })
-    }
-
-    /// Install a shared execution context; forwarded to the derivation-rule
-    /// maintenance engine so the whole grounding path runs on one pool.
-    pub fn set_execution_context(&mut self, ctx: Arc<ExecutionContext>) {
-        self.engine.set_execution_context(Arc::clone(&ctx));
-        self.ctx = ctx;
-    }
-
-    /// The execution context grounding currently runs under.
-    pub fn execution_context(&self) -> &Arc<ExecutionContext> {
-        &self.ctx
     }
 
     /// Initial load: evaluate derivation rules to fixpoint, then ground every
@@ -270,10 +251,9 @@ impl Grounder {
         let no_deltas: AtomDeltas = HashMap::new();
         for i in 0..self.factor_rules.len() {
             delta.rule_evaluations += 1;
-            let results =
-                self.factor_rules[i]
-                    .compiled
-                    .eval_ctx(&self.ctx, db, &no_deltas, &|_| Source::Old)?;
+            let results = self.factor_rules[i]
+                .compiled
+                .eval(db, &no_deltas, &|_| Source::Old)?;
             let mut rows: Vec<(Row, i64)> = results.into_iter().collect();
             rows.sort();
             for (grounding, count) in rows {
@@ -487,7 +467,7 @@ impl Grounder {
                 } // else: db as-is == New
             }
             delta.rule_evaluations += 1;
-            let contribution = variant.eval_ctx(&self.ctx, db, &atom_deltas, &|i| sources[i])?;
+            let contribution = variant.eval(db, &atom_deltas, &|i| sources[i])?;
             for (row, c) in contribution {
                 *out.entry(row).or_insert(0) += c;
             }
@@ -504,9 +484,7 @@ impl Grounder {
     ) -> Result<Vec<(Row, i64)>, StorageError> {
         let fr = &self.factor_rules[idx];
         delta.rule_evaluations += 1;
-        let fresh = fr
-            .compiled
-            .eval_ctx(&self.ctx, db, &HashMap::new(), &|_| Source::Old)?;
+        let fresh = fr.compiled.eval(db, &HashMap::new(), &|_| Source::Old)?;
         let rule_name = &fr.rule.name;
         let mut diffs: Vec<(Row, i64)> = Vec::new();
         // New or changed groundings.

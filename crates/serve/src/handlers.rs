@@ -283,7 +283,6 @@ pub(crate) fn metrics(state: &ServeState) -> Response {
             }),
             "execution": json!({
                 "threads": state.ctx.threads(),
-                "partitions": state.ctx.partitions(),
                 "phases": Json::Object(phases),
             }),
         }),

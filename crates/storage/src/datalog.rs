@@ -10,7 +10,6 @@
 
 use crate::database::{Database, FailurePolicy};
 use crate::delta::DeltaRelation;
-use crate::exec::ExecutionContext;
 use crate::plan::JoinStrategy;
 use crate::value::{Row, Value};
 use crate::StorageError;
@@ -617,26 +616,10 @@ impl CompiledRule {
         &self,
         db: &Database,
         atom_deltas: &AtomDeltas<'_>,
-        source_for: &(dyn Fn(usize) -> Source + Sync),
-    ) -> Result<RowCounts, StorageError> {
-        self.eval_shard(db, atom_deltas, source_for, None)
-    }
-
-    /// Evaluate one hash-shard of the rule: when `shard` is
-    /// `Some((index, of))`, the outermost scan keeps only rows whose stable
-    /// shard hash equals `index`, so the `of` shards partition the driving
-    /// relation disjointly. Summing the per-shard result maps reproduces
-    /// [`eval`](Self::eval) exactly — every derivation is driven by exactly
-    /// one outer-scan row.
-    pub fn eval_shard(
-        &self,
-        db: &Database,
-        atom_deltas: &AtomDeltas<'_>,
-        source_for: &(dyn Fn(usize) -> Source + Sync),
-        shard: Option<(usize, usize)>,
+        source_for: &dyn Fn(usize) -> Source,
     ) -> Result<RowCounts, StorageError> {
         let mut out = RowCounts::default();
-        self.eval_sink(db, atom_deltas, source_for, shard, &mut |row, c| {
+        self.eval_sink(db, atom_deltas, source_for, &mut |row, c| {
             *out.entry(row).or_insert(0) += c;
             Ok(())
         })?;
@@ -652,8 +635,7 @@ impl CompiledRule {
         &self,
         db: &Database,
         atom_deltas: &AtomDeltas<'_>,
-        source_for: &(dyn Fn(usize) -> Source + Sync),
-        shard: Option<(usize, usize)>,
+        source_for: &dyn Fn(usize) -> Source,
         sink: &mut dyn FnMut(Row, i64) -> Result<(), StorageError>,
     ) -> Result<(), StorageError> {
         let mut bindings: Vec<Value> = vec![Value::Null; self.num_vars];
@@ -664,40 +646,12 @@ impl CompiledRule {
             db,
             atom_deltas,
             source_for,
-            shard,
             0,
             &mut bindings,
             1,
             sink,
             &mut scratch,
         )
-    }
-
-    /// Evaluate the rule under an [`ExecutionContext`]: sequential contexts
-    /// take the plain [`eval`](Self::eval) path unchanged; parallel contexts
-    /// fan the outer scan out over hash-shards on the worker pool and merge
-    /// the per-shard maps by summing counts — an order-independent merge, so
-    /// the result is identical to sequential evaluation.
-    pub fn eval_ctx(
-        &self,
-        ctx: &ExecutionContext,
-        db: &Database,
-        atom_deltas: &AtomDeltas<'_>,
-        source_for: &(dyn Fn(usize) -> Source + Sync),
-    ) -> Result<RowCounts, StorageError> {
-        if !ctx.is_parallel() {
-            return self.eval(db, atom_deltas, source_for);
-        }
-        let shards = ctx.partitions();
-        let results =
-            ctx.map_partitions(|p| self.eval_shard(db, atom_deltas, source_for, Some((p, shards))));
-        let mut out = RowCounts::default();
-        for shard_result in results {
-            for (row, c) in shard_result? {
-                *out.entry(row).or_insert(0) += c;
-            }
-        }
-        Ok(out)
     }
 
     fn resolve(&self, bindings: &[Value], s: &Slot) -> Value {
@@ -729,7 +683,7 @@ impl CompiledRule {
         &self,
         db: &Database,
         atom_deltas: &AtomDeltas<'_>,
-        source_for: &(dyn Fn(usize) -> Source + Sync),
+        source_for: &dyn Fn(usize) -> Source,
         step_idx: usize,
         bindings: &mut Vec<Value>,
         count: i64,
@@ -771,7 +725,6 @@ impl CompiledRule {
                     db,
                     atom_deltas,
                     source_for,
-                    None,
                     step_idx + 1,
                     bindings,
                     count,
@@ -788,8 +741,7 @@ impl CompiledRule {
         &self,
         db: &Database,
         atom_deltas: &AtomDeltas<'_>,
-        source_for: &(dyn Fn(usize) -> Source + Sync),
-        shard: Option<(usize, usize)>,
+        source_for: &dyn Fn(usize) -> Source,
         step_idx: usize,
         bindings: &mut Vec<Value>,
         count: i64,
@@ -822,9 +774,8 @@ impl CompiledRule {
                 // stored table skip full-row materialization and fetch only
                 // the `needed` cells through columnar filter kernels and
                 // secondary indexes. Visible rows contribute membership 1, so
-                // the recursion count is unchanged. The sharded outer scan
-                // keeps the general path — shard hashes cover the full row.
-                if source == Source::Old && shard.is_none() {
+                // the recursion count is unchanged.
+                if source == Source::Old {
                     if *strategy == JoinStrategy::HashJoin && !key.is_empty() {
                         // Build once per evaluation pass (the build side is
                         // immutable `Old` state), probe without touching the
@@ -902,11 +853,6 @@ impl CompiledRule {
                     key.iter().map(|(_, s)| self.resolve(bindings, s)).collect();
                 let delta = atom_deltas.get(atom_index).copied();
                 let mut matches = fetch(db, delta, relation, source, key_cols, &key_vals)?;
-                // The first scan is the shard boundary: keep only rows hashed
-                // to this shard, then evaluate the residual join in full.
-                if let Some((index, of)) = shard {
-                    matches.retain(|(row, _)| crate::exec::shard_of_values(row, of) == index);
-                }
                 // Hoisted comparisons still apply on the general path.
                 if !pushdown.is_empty() {
                     matches.retain(|(row, _)| {
@@ -933,7 +879,6 @@ impl CompiledRule {
                             db,
                             atom_deltas,
                             source_for,
-                            None,
                             step_idx + 1,
                             bindings,
                             count * c,
@@ -974,7 +919,6 @@ impl CompiledRule {
                         db,
                         atom_deltas,
                         source_for,
-                        shard,
                         step_idx + 1,
                         bindings,
                         count,
@@ -992,7 +936,6 @@ impl CompiledRule {
                         db,
                         atom_deltas,
                         source_for,
-                        shard,
                         step_idx + 1,
                         bindings,
                         count,
@@ -1046,7 +989,6 @@ impl CompiledRule {
                         db,
                         atom_deltas,
                         source_for,
-                        shard,
                         step_idx + 1,
                         bindings,
                         count,

@@ -1,22 +1,13 @@
-//! The partitioned parallel execution core.
+//! The execution context: thread count plus per-phase metrics.
 //!
-//! Every phase of the pipeline — the datalog fixpoint, IVM delta
-//! propagation, factor-graph grounding, weight learning and Gibbs sampling —
-//! consumes one shared [`ExecutionContext`]: a worker pool plus a partition
-//! count plus per-phase wall-clock metrics. Work is hash-partitioned (rows by
-//! a stable sharding hash, variables by index range), each partition is
-//! evaluated independently on the pool, and per-partition results are merged
-//! deterministically (summed counts, index-ordered placement), so a parallel
-//! run derives exactly the tuples a sequential run derives.
-//!
-//! With `threads == 1` every helper executes inline on the calling thread —
-//! the sequential code path is not merely equivalent but *the same code*,
-//! which is what keeps `--threads 1` output byte-identical to the
-//! pre-parallel engine.
+//! Rule evaluation, IVM, grounding and weight learning always run
+//! sequentially on the calling thread. The thread count means one thing:
+//! how many independent Gibbs chains inference runs (the DimmWitted-style
+//! parallelism of §4.2). The grounded graph, the join plans and the learned
+//! weights are therefore identical at any thread count; only marginals
+//! depend on `(seed, threads)`.
 
 use std::collections::BTreeMap;
-use std::hash::{Hash, Hasher};
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
@@ -94,33 +85,6 @@ pub fn threads_from_env() -> Option<usize> {
     }
 }
 
-/// Stable shard assignment: hash-partition an item into `0..shards`.
-///
-/// Uses the crate's fixed-seed hasher ([`crate::fxhash::FxHasher`]), so the
-/// assignment is deterministic across runs and processes — a requirement for
-/// reproducible parallel evaluation, and why `RandomState` is not usable
-/// here. Sharding sits on the row-mutation hot path (every table slot lookup
-/// shares this hash), hence the cheap hasher over SipHash.
-pub fn shard_of<T: Hash + ?Sized>(item: &T, shards: usize) -> usize {
-    if shards <= 1 {
-        return 0;
-    }
-    let mut h = crate::fxhash::FxHasher::default();
-    item.hash(&mut h);
-    (h.finish() % shards as u64) as usize
-}
-
-/// Shard assignment for a sequence of values, computed from the shared row
-/// hash ([`crate::value::hash_values`]). Byte-identical to `shard_of(&row)`
-/// for a whole [`crate::value::Row`], but usable on borrowed slices without
-/// boxing — and guaranteed to agree with the columnar table's slot hashing.
-pub fn shard_of_values(vals: &[crate::value::Value], shards: usize) -> usize {
-    if shards <= 1 {
-        return 0;
-    }
-    (crate::value::hash_values(vals) % shards as u64) as usize
-}
-
 /// The thread count used when neither `--threads` nor [`THREADS_ENV`] is
 /// given: the host's available parallelism (1 if it cannot be determined).
 pub fn default_threads() -> usize {
@@ -174,13 +138,12 @@ impl ExecMetrics {
     }
 }
 
-/// The shared execution spine: worker-pool width, partition count, and
-/// per-phase metrics. One context is built per run and threaded through
-/// storage, grounding, the sampler and the app layer.
+/// One run's execution settings: the Gibbs chain count and per-phase
+/// metrics. One context is built per run and shared by the app layer and
+/// the serving daemon.
 #[derive(Debug)]
 pub struct ExecutionContext {
     threads: usize,
-    partitions: usize,
     pub metrics: ExecMetrics,
 }
 
@@ -191,108 +154,22 @@ impl Default for ExecutionContext {
 }
 
 impl ExecutionContext {
-    /// A context running `threads` workers over `threads` partitions.
+    /// A context running `threads` Gibbs chains (at least one).
     pub fn new(threads: usize) -> Self {
-        let threads = threads.max(1);
-        ExecutionContext {
-            threads,
-            partitions: threads,
-            metrics: ExecMetrics::default(),
-        }
-    }
-
-    /// A context with an explicit partition count (≥ thread count is usual;
-    /// more partitions smooth skew at the cost of merge overhead).
-    pub fn with_partitions(threads: usize, partitions: usize) -> Self {
         ExecutionContext {
             threads: threads.max(1),
-            partitions: partitions.max(1),
             metrics: ExecMetrics::default(),
         }
     }
 
-    /// The inline single-threaded context (the default).
+    /// A single-chain context (the default).
     pub fn sequential() -> Self {
         ExecutionContext::new(1)
     }
 
-    /// A context sized from [`THREADS_ENV`]; falls back to the host's
-    /// available parallelism ([`default_threads`]) when unset.
-    pub fn from_env() -> Self {
-        ExecutionContext::new(threads_from_env().unwrap_or_else(default_threads))
-    }
-
+    /// Number of independent Gibbs chains inference runs.
     pub fn threads(&self) -> usize {
         self.threads
-    }
-
-    pub fn partitions(&self) -> usize {
-        self.partitions
-    }
-
-    /// True when work should fan out over the pool.
-    pub fn is_parallel(&self) -> bool {
-        self.threads > 1
-    }
-
-    /// Run `f(0..jobs)` and return the results **in job order**.
-    ///
-    /// Sequential contexts (or a single job) execute inline on the calling
-    /// thread; parallel contexts execute on a scoped worker pool, with
-    /// workers pulling job indexes from a shared counter. Result placement
-    /// is by job index, so output order is deterministic regardless of
-    /// scheduling.
-    pub fn map_jobs<R, F>(&self, jobs: usize, f: F) -> Vec<R>
-    where
-        R: Send,
-        F: Fn(usize) -> R + Sync,
-    {
-        if self.threads == 1 || jobs <= 1 {
-            return (0..jobs).map(f).collect();
-        }
-        let workers = self.threads.min(jobs);
-        let next = AtomicUsize::new(0);
-        let next = &next;
-        let f = &f;
-        let collected: Vec<(usize, R)> = crossbeam::thread::scope(|s| {
-            let handles: Vec<_> = (0..workers)
-                .map(|_| {
-                    s.spawn(move |_| {
-                        let mut mine = Vec::new();
-                        loop {
-                            let j = next.fetch_add(1, Ordering::Relaxed);
-                            if j >= jobs {
-                                break;
-                            }
-                            mine.push((j, f(j)));
-                        }
-                        mine
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .flat_map(|h| h.join().expect("execution worker panicked"))
-                .collect()
-        })
-        .expect("execution scope failed");
-        let mut slots: Vec<Option<R>> = (0..jobs).map(|_| None).collect();
-        for (j, r) in collected {
-            slots[j] = Some(r);
-        }
-        slots
-            .into_iter()
-            .map(|s| s.expect("every job produces a result"))
-            .collect()
-    }
-
-    /// [`map_jobs`](Self::map_jobs) over exactly this context's partitions.
-    pub fn map_partitions<R, F>(&self, f: F) -> Vec<R>
-    where
-        R: Send,
-        F: Fn(usize) -> R + Sync,
-    {
-        self.map_jobs(self.partitions, f)
     }
 
     /// Time `f`, recording wall-clock and `items` under `phase`.
@@ -307,67 +184,6 @@ impl ExecutionContext {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn sequential_map_runs_inline_in_order() {
-        let ctx = ExecutionContext::sequential();
-        assert!(!ctx.is_parallel());
-        let out = ctx.map_jobs(5, |i| i * 2);
-        assert_eq!(out, vec![0, 2, 4, 6, 8]);
-    }
-
-    #[test]
-    fn parallel_map_preserves_job_order() {
-        let ctx = ExecutionContext::new(4);
-        assert!(ctx.is_parallel());
-        assert_eq!(ctx.partitions(), 4);
-        let out = ctx.map_jobs(64, |i| i * i);
-        assert_eq!(out, (0..64).map(|i| i * i).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn map_partitions_covers_each_partition_once() {
-        let ctx = ExecutionContext::with_partitions(2, 6);
-        let out = ctx.map_partitions(|p| p);
-        assert_eq!(out, vec![0, 1, 2, 3, 4, 5]);
-    }
-
-    #[test]
-    fn shard_of_is_stable_and_in_range() {
-        for shards in 1..6 {
-            for item in 0..100 {
-                let s = shard_of(&item, shards);
-                assert!(s < shards);
-                assert_eq!(s, shard_of(&item, shards), "same item, same shard");
-            }
-        }
-        // Every shard receives something for a modest item set.
-        let hit: std::collections::HashSet<usize> = (0..100).map(|i| shard_of(&i, 4)).collect();
-        assert_eq!(hit.len(), 4);
-    }
-
-    #[test]
-    fn shards_partition_the_item_space() {
-        let total: usize = (0..3)
-            .map(|shard| (0..500).filter(|i| shard_of(i, 3) == shard).count())
-            .sum();
-        assert_eq!(total, 500);
-    }
-
-    #[test]
-    fn shard_of_values_matches_whole_row_sharding() {
-        use crate::row;
-        for shards in 1..6 {
-            for i in 0..50i64 {
-                let r: crate::Row = row![i, format!("s{i}"), i as f64 / 3.0];
-                assert_eq!(
-                    shard_of_values(&r, shards),
-                    shard_of(&r, shards),
-                    "slice and boxed-row sharding agree"
-                );
-            }
-        }
-    }
 
     #[test]
     fn default_threads_is_positive() {
@@ -393,7 +209,6 @@ mod tests {
     fn zero_threads_clamps_to_one() {
         let ctx = ExecutionContext::new(0);
         assert_eq!(ctx.threads(), 1);
-        assert_eq!(ctx.partitions(), 1);
     }
 
     #[test]
@@ -421,17 +236,5 @@ mod tests {
         let snap = ctx.metrics.snapshot();
         assert_eq!(snap["probe"].items, 7);
         assert_eq!(snap["probe"].invocations, 1);
-    }
-
-    #[test]
-    fn parallel_map_uses_multiple_threads() {
-        // Smoke test that work really fans out: record distinct thread ids.
-        let ctx = ExecutionContext::new(4);
-        let ids = ctx.map_jobs(16, |_| {
-            std::thread::sleep(Duration::from_millis(2));
-            std::thread::current().id()
-        });
-        let distinct: std::collections::HashSet<_> = ids.into_iter().collect();
-        assert!(distinct.len() > 1, "expected work on more than one thread");
     }
 }

@@ -9,11 +9,12 @@
 //! multiply-rotate construction (the rustc/firefox "Fx" hash): a couple of
 //! ALU ops per 8-byte word versus SipHash's per-block rounds.
 //!
-//! Anything whose hash value leaks into observable state — shard assignment,
-//! slot-map keys shared across phases — keeps [`crate::value::hash_values`]
-//! (fixed-key SipHash); see the stability note there. This hasher is itself
-//! deterministic across runs and processes (no random state), so using it
-//! for scratch maps cannot make evaluation nondeterministic.
+//! Anything whose hash value leaks into observable state — slot-map keys
+//! shared across phases — goes through [`crate::value::hash_values`] (this
+//! hasher over the row's values); see the stability note there. This
+//! hasher is itself deterministic across runs and processes (no random
+//! state), so using it for scratch maps cannot make evaluation
+//! nondeterministic.
 
 use std::hash::{BuildHasherDefault, Hasher};
 

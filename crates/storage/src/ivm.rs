@@ -15,14 +15,12 @@
 use crate::database::Database;
 use crate::datalog::{AtomDeltas, Source};
 use crate::delta::DeltaRelation;
-use crate::exec::ExecutionContext;
 use crate::program::{apply_delta_counted, StratifiedProgram, Stratum};
 use crate::table::Membership;
 use crate::value::Row;
 use crate::StorageError;
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
-use std::sync::Arc;
 
 /// Get-or-create the delta accumulator for `rel`, surfacing a missing schema
 /// as a typed error instead of panicking mid-maintenance.
@@ -110,33 +108,11 @@ impl MaintenanceResult {
 /// Incremental maintenance engine over a stratified program.
 pub struct IncrementalEngine {
     sp: StratifiedProgram,
-    /// Shared execution spine: every rule application (initial load,
-    /// counting maintenance, DRed waves) fans out over its partitions.
-    /// Defaults to sequential.
-    ctx: Arc<ExecutionContext>,
 }
 
 impl IncrementalEngine {
     pub fn new(sp: StratifiedProgram) -> Self {
-        IncrementalEngine {
-            sp,
-            ctx: Arc::new(ExecutionContext::sequential()),
-        }
-    }
-
-    /// An engine whose rule applications run under `ctx`.
-    pub fn with_context(sp: StratifiedProgram, ctx: Arc<ExecutionContext>) -> Self {
-        IncrementalEngine { sp, ctx }
-    }
-
-    /// Swap in a shared execution context (e.g. when the app layer builds
-    /// one context for the whole pipeline after engines exist).
-    pub fn set_execution_context(&mut self, ctx: Arc<ExecutionContext>) {
-        self.ctx = ctx;
-    }
-
-    pub fn execution_context(&self) -> &Arc<ExecutionContext> {
-        &self.ctx
+        IncrementalEngine { sp }
     }
 
     pub fn program(&self) -> &StratifiedProgram {
@@ -153,7 +129,7 @@ impl IncrementalEngine {
     /// Evaluate the program from scratch (initial load; §4.1: DRed always
     /// runs "except on initial load").
     pub fn initial_load(&self, db: &Database) -> Result<(), StorageError> {
-        self.sp.evaluate_ctx(db, &self.ctx)?;
+        self.sp.evaluate(db)?;
         Ok(())
     }
 
@@ -163,8 +139,7 @@ impl IncrementalEngine {
         db: &Database,
         on_stratum: impl FnMut(&crate::program::Stratum, std::time::Duration),
     ) -> Result<(), StorageError> {
-        self.sp
-            .evaluate_instrumented_ctx(db, &self.ctx, on_stratum)?;
+        self.sp.evaluate_instrumented(db, on_stratum)?;
         Ok(())
     }
 
@@ -235,7 +210,7 @@ impl IncrementalEngine {
                 // Exact delta propagation through negation is unsupported;
                 // recompute the stratum and diff (correct, costlier).
                 result.rule_evaluations += stratum.rule_indices.len();
-                self.sp.recompute_stratum_diff(db, &self.ctx, stratum)?
+                self.sp.recompute_stratum_diff(db, stratum)?
             } else if stratum.recursive {
                 self.maintain_recursive_dred(db, stratum, &deltas, &mut result)?
             } else {
@@ -323,7 +298,7 @@ impl IncrementalEngine {
                             sources[new_i] = Source::New; // db (New) ⊎ (−Δ) == Old
                         }
                     }
-                    variant.eval_ctx(&self.ctx, db, &atom_deltas, &|i| sources[i])?
+                    variant.eval(db, &atom_deltas, &|i| sources[i])?
                 } else {
                     // UDF rules keep the authored order: reordering could
                     // change UDF invocation multiplicity, which is observable
@@ -335,7 +310,7 @@ impl IncrementalEngine {
                         let rel = &rule.body[l].atom.relation;
                         atom_deltas.insert(l, &neg_deltas[rel]);
                     }
-                    c.eval_ctx(&self.ctx, db, &atom_deltas, &|i| {
+                    c.eval(db, &atom_deltas, &|i| {
                         if i == pos {
                             Source::Delta
                         } else if later.contains(&i) {
@@ -429,8 +404,7 @@ impl IncrementalEngine {
                         }
                     }
                     result.rule_evaluations += 1;
-                    let contribution =
-                        variant.eval_ctx(&self.ctx, db, &atom_deltas, &|i| sources[i])?;
+                    let contribution = variant.eval(db, &atom_deltas, &|i| sources[i])?;
                     let head = rule.head.relation.clone();
                     for (row, cnt) in contribution {
                         if cnt <= 0 {
@@ -475,7 +449,7 @@ impl IncrementalEngine {
                     continue;
                 }
                 result.rule_evaluations += 1;
-                let derived_now = c.eval_ctx(&self.ctx, db, &HashMap::new(), &|_| Source::Old)?;
+                let derived_now = c.eval(db, &HashMap::new(), &|_| Source::Old)?;
                 for (row, cnt) in derived_now {
                     if cnt > 0 && suspects.count(&row) > 0 && !db.contains(&head, &row)? {
                         db.with_table(&head, |t| t.set_count(row.clone(), 1))??;
@@ -529,7 +503,7 @@ impl IncrementalEngine {
                     let (variant, _) = self.sp.variant(ri, occ);
                     let atom_deltas: AtomDeltas = HashMap::from([(0usize, front)]);
                     result.rule_evaluations += 1;
-                    let contribution = variant.eval_ctx(&self.ctx, db, &atom_deltas, &|i| {
+                    let contribution = variant.eval(db, &atom_deltas, &|i| {
                         if i == 0 {
                             Source::Delta
                         } else {
@@ -810,43 +784,6 @@ mod tests {
             .apply_update(&db, vec![BaseChange::delete("Excl", row![2])])
             .unwrap();
         assert_eq!(db.len("Out").unwrap(), 2);
-    }
-
-    #[test]
-    fn parallel_dred_matches_sequential_maintenance() {
-        // Same recursive program, same update batch, 1 vs 4 threads: the
-        // maintained closure and the reported membership changes must agree.
-        let run = |threads: usize| {
-            let db = edge_db();
-            let mut engine = tc_engine(&db);
-            engine.set_execution_context(Arc::new(ExecutionContext::new(threads)));
-            for a in 0..10 {
-                db.insert("edge", row![a, (a + 1) % 10]).unwrap();
-                db.insert("edge", row![a, (a + 3) % 10]).unwrap();
-            }
-            engine.initial_load(&db).unwrap();
-            let res = engine
-                .apply_update(
-                    &db,
-                    vec![
-                        BaseChange::delete("edge", row![2, 3]),
-                        BaseChange::delete("edge", row![5, 8]),
-                        BaseChange::insert("edge", row![2, 7]),
-                    ],
-                )
-                .unwrap();
-            let mut appeared: Vec<_> = res.appeared.get("path").cloned().unwrap_or_default();
-            let mut disappeared: Vec<_> = res.disappeared.get("path").cloned().unwrap_or_default();
-            appeared.sort();
-            disappeared.sort();
-            let mut rows = db.rows_counted("path").unwrap();
-            rows.sort();
-            (rows, appeared, disappeared)
-        };
-        let sequential = run(1);
-        for threads in [2, 4] {
-            assert_eq!(run(threads), sequential, "threads={threads}");
-        }
     }
 
     #[test]

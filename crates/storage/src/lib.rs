@@ -83,8 +83,8 @@ pub use datalog::{
 pub use delta::DeltaRelation;
 pub use error::StorageError;
 pub use exec::{
-    default_threads, env_threads, shard_of, shard_of_values, threads_from_env, EnvThreads,
-    ExecMetrics, ExecutionContext, PhaseStats, THREADS_ENV,
+    default_threads, env_threads, threads_from_env, EnvThreads, ExecMetrics, ExecutionContext,
+    PhaseStats, THREADS_ENV,
 };
 pub use index::{HashIndex, SortedIndex};
 pub use interner::{dictionary_bytes, dictionary_len, intern, resolve, SymbolId};

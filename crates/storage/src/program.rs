@@ -222,17 +222,15 @@ impl StratifiedProgram {
         self.evaluate_instrumented(db, |_, _| {})
     }
 
-    /// [`StratifiedProgram::evaluate`] under an execution context: each rule
-    /// application fans out over hash-partitions of its driving scan and the
-    /// per-partition results are merged by summed counts before being applied
-    /// to the head relation, so parallel evaluation derives exactly the
-    /// sequential fixpoint.
+    /// Forwards to [`StratifiedProgram::evaluate`]: rules are always
+    /// evaluated sequentially, whatever the context's thread count. Kept for
+    /// out-of-tree callers written against the context-taking signature.
     pub fn evaluate_ctx(
         &self,
         db: &Database,
-        ctx: &ExecutionContext,
+        _ctx: &ExecutionContext,
     ) -> Result<HashMap<String, usize>, StorageError> {
-        self.evaluate_instrumented_ctx(db, ctx, |_, _| {})
+        self.evaluate(db)
     }
 
     /// Like [`StratifiedProgram::evaluate`], invoking `on_stratum` with each
@@ -241,17 +239,6 @@ impl StratifiedProgram {
     pub fn evaluate_instrumented(
         &self,
         db: &Database,
-        on_stratum: impl FnMut(&Stratum, std::time::Duration),
-    ) -> Result<HashMap<String, usize>, StorageError> {
-        self.evaluate_instrumented_ctx(db, &ExecutionContext::sequential(), on_stratum)
-    }
-
-    /// [`StratifiedProgram::evaluate_instrumented`] under an execution
-    /// context.
-    pub fn evaluate_instrumented_ctx(
-        &self,
-        db: &Database,
-        ctx: &ExecutionContext,
         mut on_stratum: impl FnMut(&Stratum, std::time::Duration),
     ) -> Result<HashMap<String, usize>, StorageError> {
         for rel in self.derived_relations() {
@@ -259,7 +246,7 @@ impl StratifiedProgram {
         }
         for stratum in &self.strata {
             let start = std::time::Instant::now();
-            self.evaluate_stratum(db, ctx, stratum)?;
+            self.evaluate_stratum(db, stratum)?;
             on_stratum(stratum, start.elapsed());
         }
         let mut sizes = HashMap::new();
@@ -271,12 +258,7 @@ impl StratifiedProgram {
 
     /// Evaluate one stratum assuming lower strata (and the EDB) are complete
     /// and this stratum's relations are empty.
-    fn evaluate_stratum(
-        &self,
-        db: &Database,
-        ctx: &ExecutionContext,
-        stratum: &Stratum,
-    ) -> Result<(), StorageError> {
+    fn evaluate_stratum(&self, db: &Database, stratum: &Stratum) -> Result<(), StorageError> {
         let no_deltas: AtomDeltas = HashMap::new();
 
         if !stratum.recursive {
@@ -286,16 +268,16 @@ impl StratifiedProgram {
             for &ri in &stratum.rule_indices {
                 let c = &self.planned[ri];
                 let head = &c.rule.head.relation;
-                // Sequential fast path: stream derived rows straight into
-                // the head table under one lock, skipping the intermediate
-                // dedup map — count adjustments are additive, so per-emit
-                // adjustment equals map-then-apply. Holding the head lock
-                // while body scans take other table locks is safe exactly
-                // when the rule never reads its own head (guaranteed here
-                // by the check below) and never re-enters the database
-                // through UDF failure handling (no UDFs).
+                // Fast path: stream derived rows straight into the head
+                // table under one lock, skipping the intermediate dedup map
+                // — count adjustments are additive, so per-emit adjustment
+                // equals map-then-apply. Holding the head lock while body
+                // scans take other table locks is safe exactly when the rule
+                // never reads its own head (guaranteed here by the check
+                // below) and never re-enters the database through UDF
+                // failure handling (no UDFs).
                 let reads_own_head = c.rule.body.iter().any(|l| l.atom.relation == *head);
-                if !ctx.is_parallel() && !reads_own_head && c.rule.udfs.is_empty() {
+                if !reads_own_head && c.rule.udfs.is_empty() {
                     db.with_table(head, |t| -> Result<(), StorageError> {
                         let mut apply = |row, count| {
                             if count > 0 {
@@ -303,11 +285,11 @@ impl StratifiedProgram {
                             }
                             Ok(())
                         };
-                        c.eval_sink(db, &no_deltas, &|_| Source::Old, None, &mut apply)
+                        c.eval_sink(db, &no_deltas, &|_| Source::Old, &mut apply)
                     })??;
                     continue;
                 }
-                let results = c.eval_ctx(ctx, db, &no_deltas, &|_| Source::Old)?;
+                let results = c.eval(db, &no_deltas, &|_| Source::Old)?;
                 // One lock for the whole batch: per-row `db.adjust` pays a
                 // catalog lookup + table lock per tuple, which dominates the
                 // apply phase on small-tuple workloads.
@@ -321,7 +303,7 @@ impl StratifiedProgram {
         let mut deltas: HashMap<String, DeltaRelation> = HashMap::new();
         for &ri in &stratum.rule_indices {
             let c = &self.planned[ri];
-            let results = c.eval_ctx(ctx, db, &no_deltas, &|_| Source::Old)?;
+            let results = c.eval(db, &no_deltas, &|_| Source::Old)?;
             let head = c.rule.head.relation.clone();
             // Check membership and mark the new tuples under one table lock.
             let fresh = db.with_table(&head, |t| -> Result<Vec<_>, StorageError> {
@@ -359,7 +341,7 @@ impl StratifiedProgram {
                     // Delta-first join order (the §4.1 delta-rule shape).
                     let (variant, _) = self.variant(ri, occ);
                     let atom_deltas: AtomDeltas = HashMap::from([(0usize, delta)]);
-                    let results = variant.eval_ctx(ctx, db, &atom_deltas, &|i| {
+                    let results = variant.eval(db, &atom_deltas, &|i| {
                         if i == 0 {
                             Source::Delta
                         } else {
@@ -398,7 +380,6 @@ impl StratifiedProgram {
     pub(crate) fn recompute_stratum_diff(
         &self,
         db: &Database,
-        ctx: &ExecutionContext,
         stratum: &Stratum,
     ) -> Result<HashMap<String, DeltaRelation>, StorageError> {
         // Snapshot old contents.
@@ -407,7 +388,7 @@ impl StratifiedProgram {
             old.insert(rel.clone(), db.rows_counted(rel)?);
             db.clear(rel)?;
         }
-        self.evaluate_stratum(db, ctx, stratum)?;
+        self.evaluate_stratum(db, stratum)?;
         let mut diffs = HashMap::new();
         for rel in &stratum.relations {
             let mut delta = DeltaRelation::new(db.schema(rel)?);
@@ -753,89 +734,6 @@ mod tests {
         let sp = StratifiedProgram::new(prog, &db).unwrap();
         sp.evaluate(&db).unwrap();
         assert_eq!(db.count("V", &row![1]).unwrap(), 2);
-    }
-
-    #[test]
-    fn parallel_fixpoint_matches_sequential() {
-        // A denser graph so every shard actually gets work.
-        let mk = || {
-            let db = edge_db();
-            for a in 0..12 {
-                for b in [(a + 1) % 12, (a + 5) % 12] {
-                    db.insert("edge", row![a, b]).unwrap();
-                }
-            }
-            db
-        };
-        let sorted = |db: &Database| {
-            let mut rows = db.rows_counted("path").unwrap();
-            rows.sort();
-            rows
-        };
-        let seq_db = mk();
-        let sp = StratifiedProgram::new(tc_program(), &seq_db).unwrap();
-        sp.evaluate(&seq_db).unwrap();
-
-        for threads in [2, 4, 8] {
-            let par_db = mk();
-            let sp = StratifiedProgram::new(tc_program(), &par_db).unwrap();
-            sp.evaluate_ctx(&par_db, &ExecutionContext::new(threads))
-                .unwrap();
-            assert_eq!(
-                sorted(&par_db),
-                sorted(&seq_db),
-                "threads={threads}: parallel fixpoint diverged"
-            );
-        }
-    }
-
-    #[test]
-    fn parallel_counting_preserves_derivation_counts() {
-        let mk = || {
-            let db = Database::new();
-            db.create_relation(
-                Schema::build("R")
-                    .col("x", ValueType::Int)
-                    .col("y", ValueType::Int)
-                    .finish(),
-            )
-            .unwrap();
-            db.create_relation(Schema::build("V").col("x", ValueType::Int).finish())
-                .unwrap();
-            for x in 0..10 {
-                for y in 0..=x {
-                    db.insert("R", row![x, y]).unwrap();
-                }
-            }
-            db
-        };
-        let prog = || {
-            Program::new(vec![Rule::new(
-                "v",
-                Atom::new("V", vec![Term::var("x")]),
-                vec![Literal::pos(Atom::new(
-                    "R",
-                    vec![Term::var("x"), Term::var("y")],
-                ))],
-            )])
-        };
-        let seq_db = mk();
-        StratifiedProgram::new(prog(), &seq_db)
-            .unwrap()
-            .evaluate(&seq_db)
-            .unwrap();
-        let par_db = mk();
-        StratifiedProgram::new(prog(), &par_db)
-            .unwrap()
-            .evaluate_ctx(&par_db, &ExecutionContext::new(4))
-            .unwrap();
-        // Not just membership: the per-tuple derivation counts must match.
-        let sorted = |db: &Database| {
-            let mut rows = db.rows_counted("V").unwrap();
-            rows.sort();
-            rows
-        };
-        assert_eq!(sorted(&par_db), sorted(&seq_db));
     }
 
     #[test]

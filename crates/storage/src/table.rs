@@ -187,28 +187,6 @@ impl Table {
         v
     }
 
-    /// Hash-partition the counted rows into `shards` buckets — by the value
-    /// in `key_col`, or by the whole row when `None`. Partitioning uses the
-    /// stable shard hash ([`crate::exec::shard_of`] /
-    /// [`crate::exec::shard_of_values`]), so the same row lands in the same
-    /// bucket on every run, and keying by a join column co-locates matching
-    /// tuples across relations. Buckets within each shard are sorted, so the
-    /// partitioning is fully deterministic.
-    pub fn shard_counted(&self, key_col: Option<usize>, shards: usize) -> Vec<Vec<(Row, i64)>> {
-        let mut buckets: Vec<Vec<(Row, i64)>> = (0..shards.max(1)).map(|_| Vec::new()).collect();
-        for (r, c) in self.iter_counted() {
-            let s = match key_col {
-                Some(k) => crate::exec::shard_of(&r[k], shards),
-                None => crate::exec::shard_of_values(&r, shards),
-            };
-            buckets[s].push((r, c));
-        }
-        for b in &mut buckets {
-            b.sort();
-        }
-        buckets
-    }
-
     /// Insert with derivation count 1. Returns the membership transition.
     pub fn insert(&mut self, r: Row) -> Result<Membership, StorageError> {
         self.adjust(r, 1)
@@ -762,26 +740,6 @@ mod tests {
         let g0 = t.generation();
         t.insert(row![1, "a"]).unwrap();
         assert!(t.generation() > g0);
-    }
-
-    #[test]
-    fn shard_counted_partitions_all_rows_deterministically() {
-        let mut t = table();
-        for i in 0..50 {
-            t.insert(row![i, "x"]).unwrap();
-        }
-        let by_row = t.shard_counted(None, 4);
-        assert_eq!(by_row.len(), 4);
-        assert_eq!(by_row.iter().map(Vec::len).sum::<usize>(), 50);
-        assert_eq!(by_row, t.shard_counted(None, 4), "stable across calls");
-        // Keyed partitioning groups rows sharing the key value.
-        let mut u = table();
-        u.insert(row![7, "a"]).unwrap();
-        u.insert(row![7, "b"]).unwrap();
-        let by_key = u.shard_counted(Some(0), 8);
-        let nonempty: Vec<&Vec<(Row, i64)>> = by_key.iter().filter(|b| !b.is_empty()).collect();
-        assert_eq!(nonempty.len(), 1, "same key, same shard");
-        assert_eq!(nonempty[0].len(), 2);
     }
 
     #[test]

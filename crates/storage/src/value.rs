@@ -333,8 +333,8 @@ pub type Row = Box<[Value]>;
 /// The one row-hash used everywhere: hash a sequence of values exactly as a
 /// [`Row`] hashes (slice semantics — length prefix, then each element).
 ///
-/// Shard assignment, table slot maps and anything else keyed on row content
-/// must call this helper so partitioning can never diverge between phases.
+/// Table slot maps and anything else keyed on row content must call this
+/// helper so row hashing can never diverge between phases.
 /// Uses the crate's fixed-seed hasher ([`crate::fxhash::FxHasher`]) — no
 /// random state, so the hash is stable across runs and processes, and cheap
 /// enough for the per-mutation slot lookups that dominate derived-tuple
