@@ -335,9 +335,13 @@ impl Response {
         self
     }
 
+    /// Render status line, headers and body into one buffer and hand it to
+    /// `w` in a single `write_all` — one `send` on an unbuffered socket
+    /// rather than one per format fragment.
     pub fn write_to(&self, w: &mut impl Write) -> io::Result<()> {
+        let mut out = Vec::with_capacity(256 + self.body.len());
         write!(
-            w,
+            out,
             "HTTP/1.1 {} {}\r\nContent-Type: {}\r\nContent-Length: {}\r\nConnection: close\r\n",
             self.status,
             reason(self.status),
@@ -345,12 +349,14 @@ impl Response {
             self.body.len(),
         )?;
         if let Some(secs) = self.retry_after {
-            write!(w, "Retry-After: {secs}\r\n")?;
+            write!(out, "Retry-After: {secs}\r\n")?;
         }
         for (name, value) in &self.headers {
-            write!(w, "{name}: {value}\r\n")?;
+            write!(out, "{name}: {value}\r\n")?;
         }
-        write!(w, "\r\n{}", self.body)?;
+        out.extend_from_slice(b"\r\n");
+        out.extend_from_slice(self.body.as_bytes());
+        w.write_all(&out)?;
         w.flush()
     }
 }
@@ -483,5 +489,38 @@ mod tests {
         assert!(text.contains("Connection: close"));
         let body = text.split("\r\n\r\n").nth(1).unwrap();
         assert!(text.contains(&format!("Content-Length: {}", body.len())));
+    }
+
+    /// A `Write` that records every `write` call it sees.
+    #[derive(Default)]
+    struct CountingWriter {
+        writes: usize,
+        bytes: Vec<u8>,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn response_is_written_in_one_call() {
+        let mut w = CountingWriter::default();
+        Response::error(503, "shed")
+            .with_retry_after(1)
+            .with_header("X-DD-Primary", "127.0.0.1:7000")
+            .write_to(&mut w)
+            .unwrap();
+        assert_eq!(w.writes, 1, "status line, headers and body in one write");
+        let text = String::from_utf8(w.bytes).unwrap();
+        assert!(text.starts_with("HTTP/1.1 503 Service Unavailable\r\n"));
+        assert!(text.contains("Retry-After: 1\r\nX-DD-Primary: 127.0.0.1:7000\r\n\r\n{"));
+        assert!(text.ends_with('}'));
     }
 }

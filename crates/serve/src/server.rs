@@ -57,7 +57,7 @@ use parking_lot::Mutex;
 use serde_json::json;
 use std::collections::HashSet;
 use std::io::{self, BufReader};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc};
@@ -736,7 +736,6 @@ impl Server {
         let accept_shutdown = shutdown.clone();
         let accept_state = self.state.clone();
         let listener = self.listener;
-        listener.set_nonblocking(true)?;
         let accept = std::thread::spawn(move || {
             accept_loop(&listener, &tx, &accept_state, &accept_shutdown);
             // Dropping `tx` (with `listener`) drains the workers.
@@ -808,10 +807,13 @@ impl Server {
     }
 }
 
-/// Nonblocking accept + admission control: beyond `max_inflight` admitted
+/// Blocking accept + admission control: beyond `max_inflight` admitted
 /// connections (or during drain) the connection is answered `503` with
 /// `Retry-After` and closed — bounded queueing with explicit load-shedding
-/// instead of an unbounded backlog that falls over.
+/// instead of an unbounded backlog that falls over. The thread sleeps in
+/// `accept(2)` until a client connects; shutdown sets the flag and then
+/// connects once itself ([`wake_accept`]), and that connection — seen with
+/// the flag already set — ends the loop without being admitted or shed.
 fn accept_loop(
     listener: &TcpListener,
     tx: &mpsc::Sender<TcpStream>,
@@ -819,10 +821,11 @@ fn accept_loop(
     shutdown: &AtomicBool,
 ) {
     loop {
+        let accepted = listener.accept();
         if shutdown.load(Ordering::SeqCst) {
             break;
         }
-        match listener.accept() {
+        match accepted {
             Ok((stream, _)) => {
                 if state.lifecycle() == Lifecycle::Draining {
                     shed(stream, state, "draining for shutdown");
@@ -840,12 +843,24 @@ fn accept_loop(
                     break;
                 }
             }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(5));
-            }
+            // A real accept error (EMFILE, ENOBUFS, ...): back off briefly
+            // so it cannot spin the thread.
             Err(_) => std::thread::sleep(Duration::from_millis(5)),
         }
     }
+}
+
+/// Unblock an accept loop parked in `accept(2)` by connecting to its
+/// listener once and hanging up. A wildcard bind is reached over loopback.
+fn wake_accept(addr: SocketAddr) {
+    let mut target = addr;
+    if target.ip().is_unspecified() {
+        target.set_ip(match addr {
+            SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+            SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+        });
+    }
+    let _ = TcpStream::connect_timeout(&target, Duration::from_secs(1));
 }
 
 /// Answer a shed connection `503 + Retry-After` without parsing anything;
@@ -910,6 +925,7 @@ impl ServerHandle {
         // refused connect.
         join_all([self.tailer.take(), self.replay.take()]);
         self.shutdown.store(true, Ordering::SeqCst);
+        wake_accept(self.addr);
         join_all([self.accept.take()]);
 
         // Drain: wait for admitted connections to finish, bounded by the
@@ -958,6 +974,7 @@ impl ServerHandle {
     /// ingest.
     pub fn abort(mut self) {
         self.shutdown.store(true, Ordering::SeqCst);
+        wake_accept(self.addr);
         self.state.stopping.store(true, Ordering::SeqCst);
         self.state.subs.close_all();
         self.join_threads(true);

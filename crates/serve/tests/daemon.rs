@@ -1,17 +1,21 @@
 //! End-to-end daemon tests over a real spouse pipeline: snapshot
 //! consistency under concurrent reads and writes, and batch/incremental
-//! parity for derived relations.
+//! parity for derived relations, and the accept loop's latency and
+//! shutdown wake-up.
 
 mod common;
 
-use common::{batch_relation, get, http, ingest_body, served_relation, spouse_app_config};
+use common::{
+    batch_relation, get, http, http_raw, ingest_body, served_relation, spouse_app_config,
+};
 use deepdive_core::apps::{SpouseApp, SpouseAppConfig};
-use deepdive_serve::{ServeConfig, Server};
+use deepdive_serve::{ServeConfig, Server, ServerHandle};
 use deepdive_storage::BaseChange;
 use serde_json::Value as Json;
 use std::collections::{BTreeSet, HashMap};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 fn app_config() -> SpouseAppConfig {
     spouse_app_config(16, 12)
@@ -249,4 +253,79 @@ fn typed_relation_filters_match_rendered_scan() {
     assert_eq!(status, 400);
 
     handle.shutdown();
+}
+
+/// A started server over a small batch-run spouse KB, bound to `addr`.
+fn start_at(addr: &str) -> ServerHandle {
+    let mut app = SpouseApp::build(app_config()).expect("build spouse app");
+    app.run().expect("batch run");
+    let serve_config = ServeConfig {
+        addr: addr.into(),
+        ..Default::default()
+    };
+    let server = Server::new(app.dd, &serve_config).expect("bind server");
+    server.start().expect("start server")
+}
+
+/// Connection-per-request round trips are not gated by an accept poll:
+/// the accept thread blocks in `accept(2)`, so a `GET /healthz` costs the
+/// handler plus loopback, well under a millisecond or two. (A 5 ms poll
+/// would put the median near 5 ms.) The median, not the max, so a host
+/// stall cannot flip the test.
+#[test]
+fn sequential_requests_are_not_gated_by_an_accept_poll() {
+    let handle = start_at("127.0.0.1:0");
+    let addr = handle.addr();
+    let (status, _) = http_raw(addr, "GET", "/healthz", None);
+    assert_eq!(status, 200);
+
+    let mut rtts: Vec<Duration> = (0..50)
+        .map(|_| {
+            let t0 = Instant::now();
+            let (status, _) = http_raw(addr, "GET", "/healthz", None);
+            assert_eq!(status, 200);
+            t0.elapsed()
+        })
+        .collect();
+    rtts.sort();
+    let median = rtts[rtts.len() / 2];
+    assert!(
+        median < Duration::from_millis(2),
+        "median /healthz round trip {median:?} (sorted: {rtts:?})"
+    );
+    handle.shutdown();
+}
+
+/// An idle server — no request ever sent, the accept thread parked in
+/// `accept(2)` — stops promptly on both the crash and the graceful path,
+/// on a loopback bind and on a wildcard bind (woken over loopback). The
+/// wake-up connection is never admitted or shed.
+#[test]
+fn idle_server_stops_within_a_second() {
+    for bind in ["127.0.0.1:0", "0.0.0.0:0"] {
+        let handle = start_at(bind);
+        let t0 = Instant::now();
+        handle.abort();
+        assert!(
+            t0.elapsed() < Duration::from_secs(1),
+            "abort on {bind} took {:?}",
+            t0.elapsed()
+        );
+
+        let handle = start_at(bind);
+        let state = handle.state();
+        let t0 = Instant::now();
+        handle.shutdown();
+        assert!(
+            t0.elapsed() < Duration::from_secs(1),
+            "graceful shutdown on {bind} took {:?}",
+            t0.elapsed()
+        );
+        assert_eq!(
+            state.metrics.shed_total(),
+            0,
+            "the shutdown wake-up on {bind} was counted as a shed connection"
+        );
+        assert_eq!(state.queue_depth(), 0, "the wake-up was admitted on {bind}");
+    }
 }
